@@ -187,8 +187,8 @@ Cell run_race_cell(PolicyMode mode, Shape shape, std::size_t races,
     wasted_sum += prof.wasted_ratio();
     c.p50 = rep == 0 ? s.median : std::min(c.p50, s.median);
     c.p99 = rep == 0 ? s.p99 : std::min(c.p99, s.p99);
-    c.explores = prof.policy_explores;
-    c.width_updates = prof.policy_width_updates;
+    c.explores = prof.count(trace::EventKind::kPolicyExplore);
+    c.width_updates = prof.count(trace::EventKind::kPolicyWidth);
   }
   c.wasted = wasted_sum / static_cast<double>(reps);
   return c;
@@ -273,8 +273,8 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
                 static_cast<double>(total_inf);
   c.p50 = s.median;
   c.p99 = s.p99;
-  c.explores = prof.policy_explores;
-  c.width_updates = prof.policy_width_updates;
+  c.explores = prof.count(trace::EventKind::kPolicyExplore);
+  c.width_updates = prof.count(trace::EventKind::kPolicyWidth);
   c.vetoes = vetoes;
   return c;
 }

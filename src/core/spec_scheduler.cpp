@@ -53,6 +53,7 @@ SpecScheduler::SpecScheduler(SchedConfig cfg)
 
 SpecScheduler::~SpecScheduler() {
   shutdown_.store(true, std::memory_order_release);
+  { std::lock_guard<std::mutex> lk(work_mu_); }  // see submit()
   work_cv_.notify_all();
   for (auto& t : worker_threads_) t.join();
   // Anything still queued is an orphan of a block that never completed;
@@ -106,6 +107,10 @@ SchedTaskRef SpecScheduler::submit(std::function<void()> fn, double priority,
   }
   MW_TRACE_EVENT(trace::EventKind::kSchedEnqueue, pid, parent, group,
                  alt_index);
+  // A worker that has just found the predicate false still holds work_mu_
+  // until it blocks; passing through the lock orders this notify after
+  // that wait, so the wake-up is never lost to a full 10 ms sleep.
+  { std::lock_guard<std::mutex> lk(work_mu_); }
   work_cv_.notify_one();
   return task;
 }

@@ -5,82 +5,6 @@
 
 namespace mw {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string to_chrome_trace(const AltOutcome& outcome,
-                            const std::string& block_name) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& name, VTime start, VDuration dur,
-                  int tid, const std::string& args) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"X\",\"ts\":"
-       << start << ",\"dur\":" << dur << ",\"pid\":1,\"tid\":" << tid
-       << ",\"cat\":\"" << json_escape(block_name) << "\"";
-    if (!args.empty()) os << ",\"args\":{" << args << "}";
-    os << "}";
-  };
-
-  for (const AltReport& a : outcome.alts) {
-    if (!a.spawned) {
-      emit(a.name + " (guarded out)", 0, 0,
-           static_cast<int>(a.index), "\"spawned\":false");
-      continue;
-    }
-    std::string status = a.success ? "won" : (a.ran ? "killed" : "cut");
-    emit(a.name + " [" + status + "]", a.start,
-         std::max<VDuration>(a.finish - a.start, 0),
-         static_cast<int>(a.index),
-         "\"pid\":" + std::to_string(a.pid) +
-             ",\"pages_copied\":" + std::to_string(a.pages_copied) +
-             ",\"status\":\"" + status + "\"");
-  }
-
-  // Block-level phases on tid 0.
-  VTime t = 0;
-  if (outcome.overhead.setup > 0) {
-    emit("spawn (fork x" + std::to_string(outcome.alts.size()) + ")", t,
-         outcome.overhead.setup, 0, "");
-  }
-  if (!outcome.failed) {
-    // Winner finish = elapsed - commit - elimination.
-    const VTime winner_finish =
-        outcome.elapsed - outcome.overhead.commit -
-        outcome.overhead.elimination;
-    if (outcome.overhead.commit > 0)
-      emit("commit", winner_finish, outcome.overhead.commit, 0, "");
-    if (outcome.overhead.elimination > 0)
-      emit("eliminate siblings", winner_finish + outcome.overhead.commit,
-           outcome.overhead.elimination, 0, "");
-  }
-  os << "],\"displayTimeUnit\":\"ms\"}";
-  return os.str();
-}
-
 std::string to_text_timeline(const AltOutcome& outcome, int width) {
   VTime horizon = 1;
   for (const AltReport& a : outcome.alts)

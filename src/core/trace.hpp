@@ -1,7 +1,7 @@
-// Trace export: renders an AltOutcome's schedule as Chrome trace-event
-// JSON (load in chrome://tracing or https://ui.perfetto.dev) so users can
-// *see* the speculation — who ran where, who was cut in the ready queue,
-// where the commit and elimination costs landed.
+// Per-block timeline: renders one AltOutcome's schedule as text so users
+// can *see* the speculation — who ran where, who was cut in the ready
+// queue, who won. Whole-run Chrome-trace export (chrome://tracing,
+// ui.perfetto.dev) is trace::to_chrome_json over the mw_trace stream.
 #pragma once
 
 #include <string>
@@ -10,12 +10,6 @@
 
 namespace mw {
 
-/// One complete-event ("ph":"X") per alternative plus marker events for
-/// the block's commit and elimination phases. Times are the outcome's
-/// ticks reported as microseconds.
-std::string to_chrome_trace(const AltOutcome& outcome,
-                            const std::string& block_name = "alt-block");
-
 /// Renders a compact fixed-width text timeline (one row per alternative)
 /// for terminal inspection:
 ///
@@ -23,7 +17,8 @@ std::string to_chrome_trace(const AltOutcome& outcome,
 ///   slow   |############x         |
 ///   queued |............          |
 ///
-/// '#' running, 'W' won, 'x' killed/aborted, '.' waiting in the queue.
+/// '#' running, 'W' won, 'x' killed/aborted, '.' waiting in the queue,
+/// '-' never spawned (guarded out).
 std::string to_text_timeline(const AltOutcome& outcome, int width = 60);
 
 }  // namespace mw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 namespace mw::trace {
@@ -28,6 +29,12 @@ void max_time(VTime& slot, VTime t) {
 
 void min_time(VTime& slot, VTime t) {
   if (t != kNoTraceTime && (slot == kNoTraceTime || t < slot)) slot = t;
+}
+
+// A kind's layer: its name up to the first '_' ("svc" for svc_shed).
+std::string_view layer_of(EventKind k) {
+  const std::string_view name = kind_name(k);
+  return name.substr(0, name.find('_'));
 }
 
 }  // namespace
@@ -80,6 +87,10 @@ std::uint64_t SpecProfile::revoked_pages() const {
   return n;
 }
 
+std::uint64_t SpecProfile::restarts() const {
+  return count(EventKind::kSuperRestart) + count(EventKind::kDistFailover);
+}
+
 double SpecProfile::wasted_ratio() const {
   const VDuration total = work_total();
   return total > 0 ? static_cast<double>(work_wasted()) /
@@ -107,6 +118,13 @@ SpecProfile build_spec_profile(const std::vector<TraceEvent>& events,
   };
 
   for (const TraceEvent& e : events) {
+    const auto slot = static_cast<std::size_t>(e.kind);
+    if (slot < kKindSlots) {
+      SpecProfile::KindTally& t = p.kinds_[slot];
+      ++t.count;
+      t.sum_a += e.a;
+      t.sum_b += e.b;
+    }
     switch (e.kind) {
       case EventKind::kAltBlockBegin: {
         RaceProfile& r = race_for(e.a);
@@ -165,60 +183,9 @@ SpecProfile build_spec_profile(const std::vector<TraceEvent>& events,
         if (e.b != 0) race_for(e.b).splits++;
         break;
       }
-      case EventKind::kPageCopy: {
-        p.page_copies++;
-        p.page_copy_bytes += e.b;
-        break;
-      }
-      case EventKind::kMsgAccept: p.msg_accepted++; break;
-      case EventKind::kMsgIgnore: p.msg_ignored++; break;
-      case EventKind::kMsgSplit: p.msg_split++; break;
-      case EventKind::kGateDefer: p.gate_deferred++; break;
-      case EventKind::kGateRelease: p.gate_released++; break;
-      case EventKind::kGateDrop: p.gate_dropped++; break;
-      case EventKind::kSuperRestart:
-      case EventKind::kDistFailover: p.restarts++; break;
-      case EventKind::kSchedEnqueue: p.sched_enqueued++; break;
-      case EventKind::kSchedSteal: p.sched_steals++; break;
-      case EventKind::kSchedAdmitDefer: p.sched_admission_deferred++; break;
-      case EventKind::kNetSend:
-        p.net_sends++;
-        p.net_send_bytes += e.a;
-        break;
-      case EventKind::kNetDeliver: p.net_delivered++; break;
-      case EventKind::kNetRetransmit:
-        p.net_retransmits++;
-        p.net_backoff_total += static_cast<VDuration>(e.b);
-        break;
-      case EventKind::kNetTimeout:
-        p.net_timeouts++;
-        if (e.b != 0) p.net_deadline_expired++;
-        break;
-      case EventKind::kNetPeerSuspect: p.net_peer_suspects++; break;
-      case EventKind::kNetPeerDead: p.net_peer_deaths++; break;
-      case EventKind::kNetPartition: p.net_partition_drops++; break;
-      case EventKind::kSvcRequest: p.svc_requests++; break;
-      case EventKind::kSvcResponse: p.svc_ok++; break;
-      case EventKind::kSvcReplay: p.svc_replays++; break;
-      case EventKind::kSvcShed: p.svc_sheds++; break;
-      case EventKind::kSvcHedge: p.svc_hedges++; break;
-      case EventKind::kSvcFailover: p.svc_failovers++; break;
-      case EventKind::kSvcBrownout:
-        if (e.a != 0) p.svc_brownout_enters++;
-        break;
       case EventKind::kSvcBreaker:
         if (e.b == 1) p.svc_breaker_opens++;
         break;
-      case EventKind::kSvcLocalFallback: p.svc_local_fallbacks++; break;
-      case EventKind::kSvcClusterEvict: p.svc_cluster_evictions++; break;
-      case EventKind::kSvcClusterRejoin: p.svc_cluster_rejoins++; break;
-      case EventKind::kSvcClusterHandoff: p.svc_cluster_handoffs++; break;
-      case EventKind::kSvcClusterMisroute: p.svc_cluster_misroutes++; break;
-      case EventKind::kPolicyWidth: p.policy_width_updates++; break;
-      case EventKind::kPolicyOrder: p.policy_orders++; break;
-      case EventKind::kPolicyDefer: p.policy_defers++; break;
-      case EventKind::kPolicyExplore: p.policy_explores++; break;
-      case EventKind::kPolicyHedge: p.policy_hedges++; break;
       case EventKind::kSchedRevoke: {
         RaceProfile& r = race_for(e.a);
         r.revoked++;
@@ -254,54 +221,34 @@ std::string SpecProfile::to_string() const {
   os << "  wasted-work ratio " << wasted_ratio() << " ("
      << vt_to_ms(work_wasted()) << " of " << vt_to_ms(work_total())
      << " ms burned in losing worlds)\n";
+  const std::uint64_t page_copies = count(EventKind::kPageCopy);
   os << "  COW traffic: " << page_copies << " page cop"
-     << (page_copies == 1 ? "y" : "ies") << " (" << page_copy_bytes
-     << " B), " << pages_copied_losers() << " page(s) copied by losers\n";
-  if (msg_accepted + msg_ignored + msg_split > 0)
-    os << "  messages: " << msg_accepted << " accepted, " << msg_ignored
-       << " ignored, " << msg_split << " split\n";
-  if (gate_deferred + gate_released + gate_dropped > 0)
-    os << "  gate: " << gate_deferred << " deferred, " << gate_released
-       << " released, " << gate_dropped << " dropped\n";
-  if (restarts > 0) os << "  restarts/failovers: " << restarts << "\n";
-  if (net_sends + net_retransmits + net_timeouts + net_partition_drops > 0) {
-    os << "  transport: " << net_sends << " frame(s) sent (" << net_send_bytes
-       << " B), " << net_delivered << " delivered, " << net_retransmits
-       << " retransmit(s) (" << vt_to_ms(net_backoff_total)
-       << " ms backoff), " << net_timeouts << " timeout(s)";
-    if (net_deadline_expired > 0)
-      os << " (" << net_deadline_expired << " deadline)";
-    if (net_partition_drops > 0)
-      os << ", " << net_partition_drops << " partition-dropped";
+     << (page_copies == 1 ? "y" : "ies") << " ("
+     << sum_b(EventKind::kPageCopy) << " B), " << pages_copied_losers()
+     << " page(s) copied by losers";
+  if (revoked_pages() > 0)
+    os << ", " << revoked_pages() << " by revoked siblings";
+  os << "\n";
+  // One line per layer, in table order, naming each kind seen.
+  std::vector<std::string_view> layers;
+  for (EventKind k : kAllKinds)
+    if (count(k) > 0 &&
+        std::find(layers.begin(), layers.end(), layer_of(k)) == layers.end())
+      layers.push_back(layer_of(k));
+  for (std::string_view layer : layers) {
+    os << "  " << layer << ":";
+    const char* sep = " ";
+    for (EventKind k : kAllKinds) {
+      if (count(k) == 0 || layer_of(k) != layer) continue;
+      os << sep << std::string_view(kind_name(k)).substr(layer.size() + 1)
+         << " " << count(k);
+      sep = ", ";
+    }
     os << "\n";
-    if (net_peer_suspects + net_peer_deaths > 0)
-      os << "  peer health: " << net_peer_suspects << " suspect event(s), "
-         << net_peer_deaths << " death(s)\n";
   }
-  if (svc_requests + svc_sheds + svc_replays > 0) {
-    os << "  service: " << svc_requests << " request(s) admitted, " << svc_ok
-       << " ok, " << svc_replays << " replayed, " << svc_sheds << " shed, "
-       << svc_hedges << " hedge(s), " << svc_failovers << " failover(s)";
-    if (svc_local_fallbacks > 0)
-      os << ", " << svc_local_fallbacks << " local-fallback(s)";
-    os << "\n";
-    if (svc_brownout_enters + svc_breaker_opens > 0)
-      os << "  service health: " << svc_brownout_enters
-         << " brownout(s), " << svc_breaker_opens << " breaker open(s)\n";
-    if (svc_cluster_evictions + svc_cluster_rejoins + svc_cluster_handoffs +
-            svc_cluster_misroutes >
-        0)
-      os << "  cluster: " << svc_cluster_evictions << " eviction(s), "
-         << svc_cluster_rejoins << " rejoin(s), " << svc_cluster_handoffs
-         << " handoff(s), " << svc_cluster_misroutes << " misroute(s)\n";
-  }
-  if (policy_width_updates + policy_orders + policy_defers + policy_explores +
-          policy_hedges >
-      0)
-    os << "  policy: " << policy_orders << " order(s), " << policy_explores
-       << " explore(s), " << policy_defers << " defer(s), "
-       << policy_width_updates << " width update(s), " << policy_hedges
-       << " adaptive hedge(s)\n";
+  if (restarts() > 0) os << "  restarts/failovers: " << restarts() << "\n";
+  if (svc_breaker_opens > 0)
+    os << "  breaker opens: " << svc_breaker_opens << "\n";
   if (!pool_shards.empty()) {
     PoolShardCounters sum;
     for (const PoolShardCounters& c : pool_shards) {
@@ -326,12 +273,6 @@ std::string SpecProfile::to_string() const {
          << " overflowed-in, " << c.frames_held << " held\n";
     }
   }
-  if (sched_enqueued + sched_steals + sched_admission_deferred +
-          worlds_revoked() > 0)
-    os << "  scheduler: " << sched_enqueued << " enqueued, " << sched_steals
-       << " stolen, " << worlds_revoked() << " revoked unrun ("
-       << revoked_pages() << " page(s)), " << sched_admission_deferred
-       << " admission-deferred\n";
   for (const RaceProfile& r : races) {
     os << "  race #" << r.group << ": " << r.spawned << " spawned, "
        << r.survived << " won, " << r.eliminated << " eliminated, "

@@ -14,8 +14,8 @@
 //     instantly; they diverge on the thread backend).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -77,59 +77,22 @@ struct SpecProfile {
   std::vector<RaceProfile> races;  // in first-seen order
   std::uint64_t events = 0;        // trace records consumed
   std::uint64_t dropped = 0;       // ring drops (metrics are lower bounds)
-  std::uint64_t page_copies = 0;   // all kPageCopy events
-  std::uint64_t page_copy_bytes = 0;
-  std::uint64_t msg_accepted = 0;
-  std::uint64_t msg_ignored = 0;
-  std::uint64_t msg_split = 0;
-  std::uint64_t gate_deferred = 0;
-  std::uint64_t gate_released = 0;
-  std::uint64_t gate_dropped = 0;
-  std::uint64_t restarts = 0;   // supervisor restarts + dist failovers
-  // Speculation-scheduler traffic (kPool backend).
-  std::uint64_t sched_enqueued = 0;
-  std::uint64_t sched_steals = 0;
-  std::uint64_t sched_admission_deferred = 0;
-  // Transport health (Sim/Socket backends + reliable channel): how many
-  // frames moved, how hard the retry discipline worked, and whether peers
-  // went suspect/dead — the observable shape of a partition or a slow link.
-  std::uint64_t net_sends = 0;
-  std::uint64_t net_send_bytes = 0;
-  std::uint64_t net_delivered = 0;
-  std::uint64_t net_retransmits = 0;
-  VDuration net_backoff_total = 0;   // RTO ticks paid across retransmits
-  std::uint64_t net_timeouts = 0;    // transfers that gave up
-  std::uint64_t net_deadline_expired = 0;  // subset: per-request deadline
-  std::uint64_t net_peer_suspects = 0;
-  std::uint64_t net_peer_deaths = 0;
-  std::uint64_t net_partition_drops = 0;
-  // Hedged-speculation service (src/service: HedgedServer).
-  std::uint64_t svc_requests = 0;         // executable arrivals admitted
-  std::uint64_t svc_ok = 0;               // OK responses committed
-  std::uint64_t svc_replays = 0;          // duplicates answered from cache
-  std::uint64_t svc_sheds = 0;            // requests refused at admission
-  std::uint64_t svc_hedges = 0;           // hedge attempts dispatched
-  std::uint64_t svc_failovers = 0;        // attempts re-dispatched after a
-                                          //   backend went dead/broke
-  std::uint64_t svc_brownout_enters = 0;  // hedging disabled under load
-  std::uint64_t svc_breaker_opens = 0;    // circuit-breaker open transitions
-  std::uint64_t svc_local_fallbacks = 0;  // degraded to the local kPool race
-  // Cluster layer (src/service/cluster.hpp: ClusterNode).
-  std::uint64_t svc_cluster_evictions = 0;  // nodes dropped from the ring
-  std::uint64_t svc_cluster_rejoins = 0;    // nodes re-added after probation
-  std::uint64_t svc_cluster_handoffs = 0;   // kSvcHandoff frames sent
-  std::uint64_t svc_cluster_misroutes = 0;  // requests refused as non-owner
-  // Adaptive speculation policy (src/core/spec_policy.hpp). All zero in
-  // kStatic mode, which emits no policy events.
-  std::uint64_t policy_width_updates = 0;  // admission-width moves
-  std::uint64_t policy_orders = 0;         // race plans with a ranked order
-  std::uint64_t policy_defers = 0;         // last-ranked picks + split vetoes
-  std::uint64_t policy_explores = 0;       // floor/epsilon boosts
-  std::uint64_t policy_hedges = 0;         // p95-derived hedge delays
+  /// svc_breaker transitions into the open state (b == 1) — a payload
+  /// condition no per-kind tally expresses.
+  std::uint64_t svc_breaker_opens = 0;
   // Per-shard frame-pool counters (empty unless a caller folded them in;
   // see PagePool::fold_into and TraceSession::set_profile_hook).
   std::vector<PoolShardCounters> pool_shards;
 
+  /// Events of kind `k`, and the sums of their `a` and `b` payloads —
+  /// meaningful where the payload is a quantity (bytes, ticks, a 0/1
+  /// flag; see the payload comments in MW_TRACE_KINDS).
+  std::uint64_t count(EventKind k) const { return tally(k).count; }
+  std::uint64_t sum_a(EventKind k) const { return tally(k).sum_a; }
+  std::uint64_t sum_b(EventKind k) const { return tally(k).sum_b; }
+
+  /// Supervisor restarts plus distributed failovers.
+  std::uint64_t restarts() const;
   std::size_t worlds_spawned() const;
   std::size_t worlds_survived() const;
   std::size_t worlds_eliminated() const;
@@ -140,8 +103,25 @@ struct SpecProfile {
   std::uint64_t revoked_pages() const;
   double wasted_ratio() const;
 
-  /// Compact multi-line text summary for benches and altc_tool.
+  /// Compact multi-line text summary for benches and altc_tool: the race,
+  /// wasted-work and COW headlines, then one line per layer listing every
+  /// kind seen with its count.
   std::string to_string() const;
+
+ private:
+  struct KindTally {
+    std::uint64_t count = 0;
+    std::uint64_t sum_a = 0;
+    std::uint64_t sum_b = 0;
+  };
+
+  friend SpecProfile build_spec_profile(const std::vector<TraceEvent>&,
+                                        std::uint64_t);
+  const KindTally& tally(EventKind k) const {
+    return kinds_[static_cast<std::size_t>(k)];
+  }
+
+  std::array<KindTally, kKindSlots> kinds_{};  // indexed by EventKind value
 };
 
 /// Builds the profile from a trace stream (as returned by collect()).

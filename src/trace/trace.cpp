@@ -187,64 +187,11 @@ void reset() {
 
 const char* kind_name(EventKind k) {
   switch (k) {
-    case EventKind::kAltBlockBegin: return "alt_block_begin";
-    case EventKind::kAltSpawn: return "alt_spawn";
-    case EventKind::kAltChildBegin: return "alt_child_begin";
-    case EventKind::kAltChildEnd: return "alt_child_end";
-    case EventKind::kAltSync: return "alt_sync";
-    case EventKind::kAltEliminate: return "alt_eliminate";
-    case EventKind::kAltAbort: return "alt_abort";
-    case EventKind::kAltWait: return "alt_wait";
-    case EventKind::kAltBlockEnd: return "alt_block_end";
-    case EventKind::kWorldFork: return "world_fork";
-    case EventKind::kWorldSplit: return "world_split";
-    case EventKind::kWorldCommit: return "world_commit";
-    case EventKind::kWorldRollback: return "world_rollback";
-    case EventKind::kPageFork: return "page_fork";
-    case EventKind::kPageAdopt: return "page_adopt";
-    case EventKind::kPageAlloc: return "page_alloc";
-    case EventKind::kPageCopy: return "page_copy";
-    case EventKind::kMsgAccept: return "msg_accept";
-    case EventKind::kMsgIgnore: return "msg_ignore";
-    case EventKind::kMsgSplit: return "msg_split";
-    case EventKind::kGateDefer: return "gate_defer";
-    case EventKind::kGateRelease: return "gate_release";
-    case EventKind::kGateDrop: return "gate_drop";
-    case EventKind::kGateReject: return "gate_reject";
-    case EventKind::kSuperRestart: return "super_restart";
-    case EventKind::kSuperQuarantine: return "super_quarantine";
-    case EventKind::kSuperCheckpoint: return "super_checkpoint";
-    case EventKind::kDistFailover: return "dist_failover";
-    case EventKind::kDistDemote: return "dist_demote";
-    case EventKind::kSchedEnqueue: return "sched_enqueue";
-    case EventKind::kSchedSteal: return "sched_steal";
-    case EventKind::kSchedRevoke: return "sched_revoke";
-    case EventKind::kSchedAdmitDefer: return "sched_admit_defer";
-    case EventKind::kNetSend: return "net_send";
-    case EventKind::kNetDeliver: return "net_deliver";
-    case EventKind::kNetRetransmit: return "net_retransmit";
-    case EventKind::kNetTimeout: return "net_timeout";
-    case EventKind::kNetPeerSuspect: return "net_peer_suspect";
-    case EventKind::kNetPeerDead: return "net_peer_dead";
-    case EventKind::kNetPartition: return "net_partition";
-    case EventKind::kSvcRequest: return "svc_request";
-    case EventKind::kSvcResponse: return "svc_response";
-    case EventKind::kSvcReplay: return "svc_replay";
-    case EventKind::kSvcShed: return "svc_shed";
-    case EventKind::kSvcHedge: return "svc_hedge";
-    case EventKind::kSvcFailover: return "svc_failover";
-    case EventKind::kSvcBrownout: return "svc_brownout";
-    case EventKind::kSvcBreaker: return "svc_breaker";
-    case EventKind::kSvcLocalFallback: return "svc_local_fallback";
-    case EventKind::kSvcClusterEvict: return "svc_cluster_evict";
-    case EventKind::kSvcClusterRejoin: return "svc_cluster_rejoin";
-    case EventKind::kSvcClusterHandoff: return "svc_cluster_handoff";
-    case EventKind::kSvcClusterMisroute: return "svc_cluster_misroute";
-    case EventKind::kPolicyWidth: return "policy_width";
-    case EventKind::kPolicyOrder: return "policy_order";
-    case EventKind::kPolicyDefer: return "policy_defer";
-    case EventKind::kPolicyExplore: return "policy_explore";
-    case EventKind::kPolicyHedge: return "policy_hedge";
+#define MW_TRACE_KIND_NAME(kind, value, name) \
+  case EventKind::kind:                       \
+    return name;
+    MW_TRACE_KINDS(MW_TRACE_KIND_NAME)
+#undef MW_TRACE_KIND_NAME
   }
   return "unknown";
 }

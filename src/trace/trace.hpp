@@ -22,6 +22,7 @@
 // ui.perfetto.dev), and the RuntimeAuditor's trace cross-check.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,96 +31,166 @@
 
 namespace mw::trace {
 
-/// Everything the runtime reports. Values are part of the on-disk schema
-/// (docs/OBSERVABILITY.md): append new kinds, never renumber.
+/// The trace-kind catalog, one row per kind: X(enumerator, value, name),
+/// with the kind's payload on the row's comment. Everything that lists the
+/// kinds is generated from this table — the EventKind enum, kind_name(),
+/// kAllKinds, SpecProfile's per-kind counters and its per-layer summary
+/// lines — and tools/docs_check.py holds the kind table in
+/// docs/OBSERVABILITY.md to the same (name, value) pairs. Values are part
+/// of the on-disk schema: append new rows, never renumber. A kind's layer
+/// is its name up to the first '_'.
+#define MW_TRACE_KINDS(X)                                                     \
+  /* Alternative-block lifecycle (src/core backends + src/worlds races). */   \
+  X(kAltBlockBegin, 1, "alt_block_begin")                                     \
+      /* pid=parent, a=group, b=alternatives spawned */                       \
+  X(kAltSpawn, 2, "alt_spawn")                                                \
+      /* pid=child, other=parent, a=group, b=alt index (1-based) */           \
+  X(kAltChildBegin, 3, "alt_child_begin")                                     \
+      /* pid=child, a=group — child starts executing */                       \
+  X(kAltChildEnd, 4, "alt_child_end")                                         \
+      /* pid=child, a=group, b=pages copied in its world */                   \
+  X(kAltSync, 5, "alt_sync")                                                  \
+      /* pid=winner, other=parent, a=group — at-most-once win */              \
+  X(kAltEliminate, 6, "alt_eliminate")  /* pid=loser, a=group */              \
+  X(kAltAbort, 7, "alt_abort")                                                \
+      /* pid=child, a=group — guard/body/accept failure */                    \
+  X(kAltWait, 8, "alt_wait")                                                  \
+      /* pid=parent, a=group — parent blocks in alt_wait */                   \
+  X(kAltBlockEnd, 9, "alt_block_end")                                         \
+      /* pid=parent, a=group, b=AltFailure (0 = won) */                       \
+  /* World lifecycle (src/core/world, src/worlds). */                         \
+  X(kWorldFork, 16, "world_fork")                                             \
+      /* pid=child, other=parent — fork_alternative */                        \
+  X(kWorldSplit, 17, "world_split")                                           \
+      /* pid=new (rejecting) copy, other=split world, b=group */              \
+  X(kWorldCommit, 18, "world_commit")                                         \
+      /* pid=parent, other=child — page-pointer replacement */                \
+  X(kWorldRollback, 19, "world_rollback")                                     \
+      /* pid=world — rewind to checkpoint snapshot */                         \
+  /* Page traffic (src/pagestore). */                                         \
+  X(kPageFork, 32, "page_fork")  /* a=resident pages at fork */               \
+  X(kPageAdopt, 33, "page_adopt")  /* a=resident pages adopted */             \
+  X(kPageAlloc, 34, "page_alloc")  /* a=page index — zero-fill-on-demand */   \
+  X(kPageCopy, 35, "page_copy")  /* a=page index, b=bytes — one COW break */  \
+  /* Predicated delivery (src/msg). */                                        \
+  X(kMsgAccept, 48, "msg_accept")                                             \
+      /* pid=sender, a=receiver predicate count */                            \
+  X(kMsgIgnore, 49, "msg_ignore")                                             \
+      /* pid=sender, a=receiver predicate count */                            \
+  X(kMsgSplit, 50, "msg_split")  /* pid=sender, a=receiver predicate count */ \
+  /* Source gate (src/io). */                                                 \
+  X(kGateDefer, 64, "gate_defer")                                             \
+      /* pid=speculative requester, a=pending after defer */                  \
+  X(kGateRelease, 65, "gate_release")                                         \
+      /* pid=synced world, a=intents executed */                              \
+  X(kGateDrop, 66, "gate_drop")  /* pid=dead world, a=intents dropped */      \
+  X(kGateReject, 67, "gate_reject")                                           \
+      /* pid=speculative requester (kReject policy) */                        \
+  /* Supervision & distribution (src/super, src/dist). */                     \
+  X(kSuperRestart, 80, "super_restart")                                       \
+      /* pid=new attempt, other=dead attempt, a=attempt # */                  \
+  X(kSuperQuarantine, 81, "super_quarantine")                                 \
+      /* pid=final attempt, a=restarts burned */                              \
+  X(kSuperCheckpoint, 82, "super_checkpoint")                                 \
+      /* pid=attempt, a=resident pages, b=1 if delta */                       \
+  X(kDistFailover, 83, "dist_failover")                                       \
+      /* a=child index, b=bytes re-dispatched */                              \
+  X(kDistDemote, 84, "dist_demote")                                           \
+      /* a=child index — remote child demoted to Failed */                    \
+  /* Speculation scheduler (src/core/spec_scheduler, the kPool backend). */   \
+  X(kSchedEnqueue, 96, "sched_enqueue")                                       \
+      /* pid=task, other=parent, a=group, b=alt index */                      \
+  X(kSchedSteal, 97, "sched_steal")                                           \
+      /* pid=task, a=group, b=taking worker (kSchedExternalHelper: an         \
+         external helper thread; kSchedDetDriver: the deterministic           \
+         driver's thief coin) */                                              \
+  X(kSchedRevoke, 98, "sched_revoke")                                         \
+      /* pid=task, a=group, b=pages copied (0: pruned before it ever ran) */  \
+  X(kSchedAdmitDefer, 99, "sched_admit_defer")                                \
+      /* pid=requester, a=group, b=live worlds at defer */                    \
+  /* Transport layer (src/dist: SimTransport / SocketTransport and the        \
+     reliable channel riding on them). */                                     \
+  X(kNetSend, 112, "net_send")  /* a=bytes, b=destination node */             \
+  X(kNetDeliver, 113, "net_deliver")  /* a=bytes, b=source node */            \
+  X(kNetRetransmit, 114, "net_retransmit")                                    \
+      /* a=attempt # (1-based retry), b=RTO paid (ticks) */                   \
+  X(kNetTimeout, 115, "net_timeout")                                          \
+      /* a=attempts burned, b=0 retries exhausted / 1 per-request deadline    \
+         expired */                                                           \
+  X(kNetPeerSuspect, 116, "net_peer_suspect")                                 \
+      /* a=peer node — heartbeats overdue */                                  \
+  X(kNetPeerDead, 117, "net_peer_dead")                                       \
+      /* a=peer node — declared dead, failover eligible */                    \
+  X(kNetPartition, 118, "net_partition")                                      \
+      /* a=from node, b=to node — frame blocked by a partition (LinkModel     \
+         pair or "net.partition") */                                          \
+  /* Hedged-speculation service (src/service: HedgedServer and friends). */   \
+  X(kSvcRequest, 128, "svc_request")                                          \
+      /* a=client node, b=request seq — executable arrival */                 \
+  X(kSvcResponse, 129, "svc_response")                                        \
+      /* a=client node, b=seq — OK response committed */                      \
+  X(kSvcReplay, 130, "svc_replay")                                            \
+      /* a=client node, b=seq — duplicate replayed from the session cache     \
+         (no re-execution) */                                                 \
+  X(kSvcShed, 131, "svc_shed")                                                \
+      /* a=client node, b=admission queue depth at shed */                    \
+  X(kSvcHedge, 132, "svc_hedge")                                              \
+      /* a=ticket, b=backend node the hedge went to */                        \
+  X(kSvcFailover, 133, "svc_failover")                                        \
+      /* a=ticket, b=backend node taking over */                              \
+  X(kSvcBrownout, 134, "svc_brownout")                                        \
+      /* a=1 enter / 0 exit, b=defer-rate (permille) */                       \
+  X(kSvcBreaker, 135, "svc_breaker")                                          \
+      /* a=backend node, b=new state (0 closed, 1 open, 2 half-open) */       \
+  X(kSvcLocalFallback, 136, "svc_local_fallback")                             \
+      /* a=ticket — degraded to the local kPool race */                       \
+  /* Hedged-service cluster layer (src/service/cluster.hpp). */               \
+  X(kSvcClusterEvict, 137, "svc_cluster_evict")                               \
+      /* a=node evicted from the ring, b=epoch after */                       \
+  X(kSvcClusterRejoin, 138, "svc_cluster_rejoin")                             \
+      /* a=node re-added after probation, b=epoch after */                    \
+  X(kSvcClusterHandoff, 139, "svc_cluster_handoff")                           \
+      /* a=peer node, b=sessions carried (send side) */                       \
+  X(kSvcClusterMisroute, 140, "svc_cluster_misroute")                         \
+      /* a=client, b=owner per the local ring — a request this node           \
+         refused because it does not own the session */                       \
+  /* Adaptive speculation policy (src/core/spec_policy.hpp). Emitted only     \
+     in kAdaptive mode, so static-mode traces stay bit-for-bit unchanged. */  \
+  X(kPolicyWidth, 141, "policy_width")                                        \
+      /* a=effective admission width (worlds), b=budget — emitted when the    \
+         width controller moves */                                            \
+  X(kPolicyOrder, 142, "policy_order")                                        \
+      /* a=group, b=top-ranked position (0-based) */                          \
+  X(kPolicyDefer, 143, "policy_defer")                                        \
+      /* a=group, b=last-ranked ("deferred") position; for a vetoed           \
+         or-parallel split, b=fanout refused */                               \
+  X(kPolicyExplore, 144, "policy_explore")                                    \
+      /* a=group, b=explored position (floor or epsilon) */                   \
+  X(kPolicyHedge, 145, "policy_hedge")                                        \
+      /* a=ticket, b=p95-derived hedge delay (ticks) — the cold-start         \
+         static fallback emits nothing */
+
+/// Everything the runtime reports (generated from MW_TRACE_KINDS).
 enum class EventKind : std::uint16_t {
-  // Alternative-block lifecycle (src/core backends + src/worlds races).
-  kAltBlockBegin = 1,   // pid=parent, a=group, b=alternatives spawned
-  kAltSpawn = 2,        // pid=child, other=parent, a=group, b=alt index (1-based)
-  kAltChildBegin = 3,   // pid=child, a=group — child starts executing
-  kAltChildEnd = 4,     // pid=child, a=group, b=pages copied in its world
-  kAltSync = 5,         // pid=winner, other=parent, a=group — at-most-once win
-  kAltEliminate = 6,    // pid=loser, a=group
-  kAltAbort = 7,        // pid=child, a=group — guard/body/accept failure
-  kAltWait = 8,         // pid=parent, a=group — parent blocks in alt_wait
-  kAltBlockEnd = 9,     // pid=parent, a=group, b=AltFailure (0 = won)
-  // World lifecycle (src/core/world, src/worlds).
-  kWorldFork = 16,      // pid=child, other=parent — fork_alternative
-  kWorldSplit = 17,     // pid=new (rejecting) copy, other=split world, b=group
-  kWorldCommit = 18,    // pid=parent, other=child — page-pointer replacement
-  kWorldRollback = 19,  // pid=world — rewind to checkpoint snapshot
-  // Page traffic (src/pagestore).
-  kPageFork = 32,       // a=resident pages at fork
-  kPageAdopt = 33,      // a=resident pages adopted
-  kPageAlloc = 34,      // a=page index — zero-fill-on-demand
-  kPageCopy = 35,       // a=page index, b=bytes — one COW break
-  // Predicated delivery (src/msg).
-  kMsgAccept = 48,      // pid=sender, a=receiver predicate count
-  kMsgIgnore = 49,      // pid=sender, a=receiver predicate count
-  kMsgSplit = 50,       // pid=sender, a=receiver predicate count
-  // Source gate (src/io).
-  kGateDefer = 64,      // pid=speculative requester, a=pending after defer
-  kGateRelease = 65,    // pid=synced world, a=intents executed
-  kGateDrop = 66,       // pid=dead world, a=intents dropped
-  kGateReject = 67,     // pid=speculative requester (kReject policy)
-  // Supervision & distribution (src/super, src/dist).
-  kSuperRestart = 80,     // pid=new attempt, other=dead attempt, a=attempt #
-  kSuperQuarantine = 81,  // pid=final attempt, a=restarts burned
-  kSuperCheckpoint = 82,  // pid=attempt, a=resident pages, b=1 if delta
-  kDistFailover = 83,     // a=child index, b=bytes re-dispatched
-  kDistDemote = 84,       // a=child index — remote child demoted to Failed
-  // Speculation scheduler (src/core/spec_scheduler, the kPool backend).
-  kSchedEnqueue = 96,     // pid=task, other=parent, a=group, b=alt index
-  kSchedSteal = 97,       // pid=task, a=group, b=taking worker
-                          //   (kSchedExternalHelper: an external helper
-                          //   thread; kSchedDetDriver: the deterministic
-                          //   driver's thief coin)
-  kSchedRevoke = 98,      // pid=task, a=group, b=pages copied (0: pruned
-                          //   before it ever ran)
-  kSchedAdmitDefer = 99,  // pid=requester, a=group, b=live worlds at defer
-  // Transport layer (src/dist: SimTransport / SocketTransport and the
-  // reliable channel riding on them).
-  kNetSend = 112,        // a=bytes, b=destination node
-  kNetDeliver = 113,     // a=bytes, b=source node
-  kNetRetransmit = 114,  // a=attempt # (1-based retry), b=RTO paid (ticks)
-  kNetTimeout = 115,     // a=attempts burned, b=0 retries exhausted /
-                         //   1 per-request deadline expired
-  kNetPeerSuspect = 116, // a=peer node — heartbeats overdue
-  kNetPeerDead = 117,    // a=peer node — declared dead, failover eligible
-  kNetPartition = 118,   // a=from node, b=to node — frame blocked by a
-                         //   partition (LinkModel pair or "net.partition")
-  // Hedged-speculation service (src/service: HedgedServer and friends).
-  kSvcRequest = 128,       // a=client node, b=request seq — executable arrival
-  kSvcResponse = 129,      // a=client node, b=seq — OK response committed
-  kSvcReplay = 130,        // a=client node, b=seq — duplicate replayed from
-                           //   the session cache (no re-execution)
-  kSvcShed = 131,          // a=client node, b=admission queue depth at shed
-  kSvcHedge = 132,         // a=ticket, b=backend node the hedge went to
-  kSvcFailover = 133,      // a=ticket, b=backend node taking over
-  kSvcBrownout = 134,      // a=1 enter / 0 exit, b=defer-rate (permille)
-  kSvcBreaker = 135,       // a=backend node, b=new state (0 closed, 1 open,
-                           //   2 half-open)
-  kSvcLocalFallback = 136, // a=ticket — degraded to the local kPool race
-
-  // Hedged-service cluster layer (src/service/cluster.hpp).
-  kSvcClusterEvict = 137,    // a=node evicted from the ring, b=epoch after
-  kSvcClusterRejoin = 138,   // a=node re-added after probation, b=epoch after
-  kSvcClusterHandoff = 139,  // a=peer node, b=sessions carried (send side)
-  kSvcClusterMisroute = 140, // a=client, b=owner per the local ring — a
-                             //   request this node refused because it does
-                             //   not own the session
-
-  // Adaptive speculation policy (src/core/spec_policy.hpp). Emitted only in
-  // kAdaptive mode, so static-mode traces stay bit-for-bit unchanged.
-  kPolicyWidth = 141,   // a=effective admission width (worlds), b=budget —
-                        //   emitted when the width controller moves
-  kPolicyOrder = 142,   // a=group, b=top-ranked position (0-based)
-  kPolicyDefer = 143,   // a=group, b=last-ranked ("deferred") position; for
-                        //   a vetoed or-parallel split, b=fanout refused
-  kPolicyExplore = 144, // a=group, b=explored position (floor or epsilon)
-  kPolicyHedge = 145,   // a=ticket, b=p95-derived hedge delay (ticks) — the
-                        //   cold-start static fallback emits nothing
+#define MW_TRACE_KIND_ENUMERATOR(kind, value, name) kind = value,
+  MW_TRACE_KINDS(MW_TRACE_KIND_ENUMERATOR)
+#undef MW_TRACE_KIND_ENUMERATOR
 };
+
+/// Every kind, in table order.
+inline constexpr EventKind kAllKinds[] = {
+#define MW_TRACE_KIND_LIST(kind, value, name) EventKind::kind,
+    MW_TRACE_KINDS(MW_TRACE_KIND_LIST)
+#undef MW_TRACE_KIND_LIST
+};
+
+/// One past the largest kind value: per-kind tables indexed by value.
+inline constexpr std::size_t kKindSlots = [] {
+  std::size_t top = 0;
+  for (EventKind k : kAllKinds)
+    if (static_cast<std::size_t>(k) > top) top = static_cast<std::size_t>(k);
+  return top + 1;
+}();
 
 /// Sentinel for "the emitter had no clock in scope"; the event still
 /// carries its global sequence number, which is the authoritative order.
@@ -195,7 +266,8 @@ class Scope {
   bool prev_;
 };
 
-/// Human-readable kind name ("alt_sync", "page_copy", ...).
+/// Human-readable kind name ("alt_sync", "page_copy", ...); "unknown" for
+/// a value with no row in MW_TRACE_KINDS.
 const char* kind_name(EventKind k);
 
 }  // namespace mw::trace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/alt_context.hpp"
 #include "core/runtime.hpp"
 
@@ -30,24 +33,23 @@ AltOutcome sample_outcome() {
                    [](AltContext& ctx) { ctx.work(vt_ms(500)); }, nullptr}});
 }
 
-TEST(Trace, ChromeJsonIsWellFormedIsh) {
-  const std::string json = to_chrome_trace(sample_outcome(), "demo");
-  // Structural sanity: balanced braces/brackets, required keys present.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("fast [won]"), std::string::npos);
-  EXPECT_NE(json.find("commit"), std::string::npos);
-  EXPECT_NE(json.find("eliminate siblings"), std::string::npos);
+// The timeline row of the alternative called `name`.
+std::string row_of(const std::string& text, const std::string& name) {
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line))
+    if (line.compare(0, name.size() + 1, name + " ") == 0) return line;
+  return "";
 }
 
 TEST(Trace, StatusesReflectSchedule) {
-  const std::string json = to_chrome_trace(sample_outcome());
-  EXPECT_NE(json.find("[won]"), std::string::npos);
-  EXPECT_NE(json.find("[killed]"), std::string::npos);  // slow, mid-flight
+  const std::string text = to_text_timeline(sample_outcome(), 40);
+  const std::string fast = row_of(text, "fast");
+  const std::string slow = row_of(text, "slow");
+  EXPECT_NE(fast.find('W'), std::string::npos);  // won
+  EXPECT_EQ(fast.find('x'), std::string::npos);
+  EXPECT_NE(slow.find('x'), std::string::npos);  // killed mid-flight
+  EXPECT_EQ(slow.find('W'), std::string::npos);
 }
 
 TEST(Trace, GuardedOutAlternativeMarked) {
@@ -65,8 +67,11 @@ TEST(Trace, GuardedOutAlternativeMarked) {
        Alternative{"yes", nullptr, [](AltContext& ctx) { ctx.work(1); },
                    nullptr}},
       opts);
-  const std::string json = to_chrome_trace(out);
-  EXPECT_NE(json.find("never (guarded out)"), std::string::npos);
+  const std::string text = to_text_timeline(out, 20);
+  const std::string never = row_of(text, "never");
+  ASSERT_FALSE(never.empty());
+  EXPECT_EQ(never.substr(never.find('|') + 1, 1), "-");  // never spawned
+  EXPECT_NE(row_of(text, "yes").find('W'), std::string::npos);
 }
 
 TEST(Trace, TextTimelineShowsWinnerAndRows) {
@@ -84,20 +89,6 @@ TEST(Trace, TextTimelineShowsWinnerAndRows) {
     if (!len) len = line.size();
     EXPECT_EQ(line.size(), len);
   }
-}
-
-TEST(Trace, JsonEscapesSpecialCharacters) {
-  AltOutcome out;
-  AltReport r;
-  r.index = 1;
-  r.name = "weird\"name\\with\nstuff";
-  r.spawned = true;
-  r.ran = true;
-  r.finish = 10;
-  out.alts.push_back(r);
-  const std::string json = to_chrome_trace(out);
-  EXPECT_EQ(json.find("weird\"name"), std::string::npos);  // raw quote gone
-  EXPECT_NE(json.find("weird\\\"name"), std::string::npos);
 }
 
 }  // namespace

@@ -447,13 +447,14 @@ TEST(TransportTrace, RetryCountersSurfaceInSpecProfile) {
   a.send(1, make_payload(64));
   t.run();
   const trace::SpecProfile p = trace::build_spec_profile(trace::drain());
-  EXPECT_GT(p.net_sends, 0u);
-  EXPECT_GT(p.net_send_bytes, 0u);
-  EXPECT_EQ(p.net_retransmits, a.policy().max_attempts - 1);
-  EXPECT_EQ(p.net_timeouts, 1u);
-  EXPECT_GT(p.net_backoff_total, 0);
+  using K = trace::EventKind;
+  EXPECT_GT(p.count(K::kNetSend), 0u);
+  EXPECT_GT(p.sum_a(K::kNetSend), 0u);  // bytes sent
+  EXPECT_EQ(p.count(K::kNetRetransmit), a.policy().max_attempts - 1);
+  EXPECT_EQ(p.count(K::kNetTimeout), 1u);
+  EXPECT_GT(p.sum_b(K::kNetRetransmit), 0u);  // RTO ticks paid
   const std::string s = p.to_string();
-  EXPECT_NE(s.find("transport:"), std::string::npos);
+  EXPECT_NE(s.find("net:"), std::string::npos);
   EXPECT_NE(s.find("retransmit"), std::string::npos);
 }
 
@@ -467,8 +468,8 @@ TEST(TransportTrace, PeerDeathEventsSurfaceInSpecProfile) {
   a.enable_heartbeats();
   t.run_until(vt_ms(500));
   const trace::SpecProfile p = trace::build_spec_profile(trace::drain());
-  EXPECT_EQ(p.net_peer_suspects, 1u);
-  EXPECT_EQ(p.net_peer_deaths, 1u);
+  EXPECT_EQ(p.count(trace::EventKind::kNetPeerSuspect), 1u);
+  EXPECT_EQ(p.count(trace::EventKind::kNetPeerDead), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // End-to-end trace correctness on a scripted race: the virtual backend is
 // deterministic, so a 3-alternative block with known costs must produce an
 // exact lifecycle event sequence, hand-computable SpecProfile numbers, a
-// clean auditor cross-check, and a well-formed Chrome-trace export.
+// clean auditor cross-check, and a well-formed Chrome-trace export. The
+// TraceKinds cases check what MW_TRACE_KINDS generates on synthetic
+// streams, so they run with tracing compiled out too.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -253,6 +256,82 @@ TEST(TraceRace, ChromeExportWellFormed) {
   }
   EXPECT_EQ(depth, 0);
   trace::reset();
+}
+
+trace::TraceEvent synthetic(trace::EventKind kind, std::uint64_t a = 0,
+                            std::uint64_t b = 0) {
+  trace::TraceEvent e;
+  e.kind = kind;
+  e.a = a;
+  e.b = b;
+  return e;
+}
+
+TEST(TraceKinds, EveryRowHasAUniqueValueAndName) {
+  std::set<std::uint16_t> values;
+  std::set<std::string> names;
+  for (trace::EventKind k : trace::kAllKinds) {
+    const std::string name = trace::kind_name(k);
+    EXPECT_NE(name, "unknown");
+    EXPECT_NE(name.find('_'), std::string::npos) << name << " has no layer";
+    EXPECT_TRUE(values.insert(static_cast<std::uint16_t>(k)).second) << name;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
+  EXPECT_EQ(values.size(), std::size(trace::kAllKinds));
+  EXPECT_EQ(*values.rbegin() + 1u, trace::kKindSlots);
+  EXPECT_STREQ(trace::kind_name(static_cast<trace::EventKind>(0)), "unknown");
+  // Values are the on-disk schema; pin both ends of the table.
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kAltBlockBegin), 1);
+  EXPECT_STREQ(trace::kind_name(trace::EventKind::kSvcShed), "svc_shed");
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kPolicyHedge), 145);
+}
+
+TEST(TraceKinds, OneEventPerKindCountsOnlyThatKind) {
+  for (trace::EventKind k : trace::kAllKinds) {
+    const trace::SpecProfile p = trace::build_spec_profile({synthetic(k)});
+    for (trace::EventKind other : trace::kAllKinds)
+      EXPECT_EQ(p.count(other), other == k ? 1u : 0u)
+          << "fed " << trace::kind_name(k) << ", read "
+          << trace::kind_name(other);
+  }
+}
+
+TEST(TraceKinds, PayloadSumsReproduceTheFoldedAggregates) {
+  using K = trace::EventKind;
+  const std::vector<trace::TraceEvent> stream = {
+      synthetic(K::kNetSend, 100, 1),    synthetic(K::kNetSend, 50, 2),
+      synthetic(K::kPageCopy, 3, 4096),  synthetic(K::kPageCopy, 9, 4096),
+      synthetic(K::kNetRetransmit, 1, 200),
+      synthetic(K::kNetRetransmit, 2, 400),
+      synthetic(K::kNetTimeout, 5, 0),   synthetic(K::kNetTimeout, 5, 1),
+      synthetic(K::kNetTimeout, 2, 1),   synthetic(K::kSvcBrownout, 1, 900),
+      synthetic(K::kSvcBrownout, 0, 10), synthetic(K::kSvcBrownout, 1, 950),
+      synthetic(K::kSvcBreaker, 4, 1),   synthetic(K::kSvcBreaker, 4, 2),
+      synthetic(K::kSvcBreaker, 4, 0),   synthetic(K::kSvcBreaker, 5, 1),
+      synthetic(K::kSuperRestart, 1),    synthetic(K::kDistFailover, 0, 64),
+      synthetic(K::kDistFailover, 1, 64)};
+  const trace::SpecProfile p = trace::build_spec_profile(stream);
+  EXPECT_EQ(p.events, stream.size());
+  EXPECT_EQ(p.sum_a(K::kNetSend), 150u);        // bytes sent
+  EXPECT_EQ(p.count(K::kPageCopy), 2u);
+  EXPECT_EQ(p.sum_b(K::kPageCopy), 8192u);      // bytes copied
+  EXPECT_EQ(p.sum_b(K::kNetRetransmit), 600u);  // backoff ticks paid
+  EXPECT_EQ(p.count(K::kNetTimeout), 3u);
+  EXPECT_EQ(p.sum_b(K::kNetTimeout), 2u);       // deadline expiries
+  EXPECT_EQ(p.sum_a(K::kSvcBrownout), 2u);      // brownout entries
+  EXPECT_EQ(p.svc_breaker_opens, 2u);
+  EXPECT_EQ(p.restarts(), 3u);
+
+  const std::string s = p.to_string();
+  EXPECT_NE(s.find("  COW traffic: 2 page copies (8192 B)"), std::string::npos)
+      << s;
+  EXPECT_NE(s.find("  net: send 2, retransmit 2, timeout 3\n"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("  svc: brownout 3, breaker 4\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("  restarts/failovers: 3\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("  breaker opens: 2\n"), std::string::npos) << s;
+  EXPECT_EQ(s.find("  msg:"), std::string::npos) << s;  // no msg_* seen
 }
 
 }  // namespace

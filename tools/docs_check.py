@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checker: intra-repo links and compilable C++ snippets.
+"""Documentation checker: links, C++ snippets, quotes and the kind table.
 
-Two checks over every tracked markdown file:
+Checks over every tracked markdown file:
 
 1. Relative links — every [text](path) that is not an external URL or a
    pure #anchor must name a file or directory that exists, relative to
@@ -22,6 +22,11 @@ Two checks over every tracked markdown file:
    with whitespace normalized, comment-only and blank lines ignored).
    Use it when a doc quotes a real declaration — a wire-frame struct,
    a config block — so the quote cannot drift from the source.
+
+4. Trace-kind table — the kind table in docs/OBSERVABILITY.md (the one
+   headed "| kind | value |") must list exactly the (name, value) pairs
+   of the MW_TRACE_KINDS rows in src/trace/trace.hpp: none missing, none
+   extra, no value changed.
 
 Exit code 0 when everything passes; 1 with one line per failure.
 
@@ -202,6 +207,63 @@ def check_verbatim(path, text, errors):
             )
 
 
+KINDS_SOURCE = REPO / "src" / "trace" / "trace.hpp"
+KINDS_DOC = REPO / "docs" / "OBSERVABILITY.md"
+KIND_ROW_RE = re.compile(r'X\(\s*k\w+\s*,\s*(\d+)\s*,\s*"(\w+)"\s*\)')
+DOC_KIND_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|")
+
+
+def source_kinds():
+    """{name: value} from the MW_TRACE_KINDS rows."""
+    text = KINDS_SOURCE.read_text(encoding="utf-8")
+    start = text.find("#define MW_TRACE_KINDS(X)")
+    if start < 0:
+        return {}
+    body = []
+    for line in text[start:].splitlines():
+        body.append(line)
+        if not line.rstrip().endswith("\\"):
+            break
+    return {name: int(value)
+            for value, name in KIND_ROW_RE.findall("\n".join(body))}
+
+
+def check_kind_table(path, text, errors):
+    where = path.relative_to(REPO)
+    want = source_kinds()
+    if not want:
+        errors.append(f"{KINDS_SOURCE.relative_to(REPO)}: no MW_TRACE_KINDS "
+                      f"rows found")
+        return
+    have = {}
+    in_table = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if re.match(r"^\|\s*kind\s*\|\s*value\s*\|", line):
+            in_table = True
+            continue
+        if in_table and not line.startswith("|"):
+            break
+        m = DOC_KIND_RE.match(line) if in_table else None
+        if m and m.group(1) in have:
+            errors.append(f"{where}:{lineno}: kind table lists "
+                          f"`{m.group(1)}` twice")
+        elif m:
+            have[m.group(1)] = (int(m.group(2)), lineno)
+    if not in_table:
+        errors.append(f"{where}: no '| kind | value |' table")
+        return
+    for name, value in want.items():
+        if name not in have:
+            errors.append(f"{where}: kind table lacks `{name}` ({value})")
+    for name, (value, lineno) in have.items():
+        if name not in want:
+            errors.append(f"{where}:{lineno}: kind table lists `{name}`, "
+                          f"which has no MW_TRACE_KINDS row")
+        elif want[name] != value:
+            errors.append(f"{where}:{lineno}: kind table gives `{name}` "
+                          f"value {value}, MW_TRACE_KINDS says {want[name]}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--compiler", default="g++")
@@ -220,6 +282,8 @@ def main():
         snippets += len(snippet_list) + len(verbatims)
         check_snippets(path, text, args.compiler, errors)
         check_verbatim(path, text, errors)
+        if path == KINDS_DOC:
+            check_kind_table(path, text, errors)
         status = "ok" if len(errors) == before else "FAIL"
         print(
             f"{status:4} {path.relative_to(REPO)} "
