@@ -1,7 +1,5 @@
 #include "dist/remote_alt.hpp"
 
-#include "fault/fault.hpp"
-#include "trace/trace.hpp"
 #include "util/check.hpp"
 
 namespace mw {
@@ -41,175 +39,6 @@ DistributedRaceResult distributed_race(const RemoteForker& forker,
   }
   out.spawn_total = spawn_clock;
   out.elapsed = out.failed ? kVTimeMax : best;
-  return out;
-}
-
-DistributedRaceResult distributed_race(const RemoteForker& forker,
-                                       const AddressSpace& parent_image,
-                                       const std::vector<RemoteAltSpec>& specs,
-                                       const DistRaceOptions& opts) {
-  DistributedRaceResult out;
-  if (specs.empty()) return out;
-
-  const LinkModel& link = forker.link();
-  const bool lossy = link.loss_probability > 0.0 || link.jitter > 0;
-  Rng root(opts.seed);
-
-  // Failover accounting (checkpoint_interval > 0): the sizes of the images
-  // children periodically ship to the file server. A delta serializes the
-  // header plus `checkpoint_pages` page records; the base image is the
-  // child's initial full checkpoint, which the server already holds.
-  const bool failover_on = opts.checkpoint_interval > 0;
-  std::size_t full_bytes = 0, delta_bytes = 0;
-  VDuration ship_overhead = 0;  // child-side cost of producing+shipping one
-  if (failover_on) {
-    const CheckpointImage probe = take_checkpoint(parent_image, Registers{});
-    const std::size_t page_rec = parent_image.page_size() + 8;
-    full_bytes = probe.size_bytes();
-    delta_bytes = full_bytes - probe.resident_pages * page_rec +
-                  opts.checkpoint_pages * page_rec;
-    ship_overhead =
-        forker.cost().checkpoint_per_page *
-            static_cast<VDuration>(opts.checkpoint_pages) +
-        link.transfer_time(delta_bytes);
-  }
-
-  VDuration spawn_clock = 0;
-  VDuration best = kVTimeMax;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    Rng child_rng = root.split(i + 1);
-    RforkResult r;
-    if (opts.on_demand) {
-      r = forker.on_demand(parent_image, opts.touch_fraction);
-    } else if (lossy) {
-      r = forker.full_copy_unreliable(parent_image, child_rng, opts.retry);
-    } else {
-      r = forker.full_copy(parent_image);
-    }
-    bool crash_pending = static_cast<bool>(MW_FAULT_POINT("remote.node_crash"));
-    if (crash_pending && !failover_on) r.ok = false;
-
-    spawn_clock += r.checkpoint_cost;
-    const VDuration child_start =
-        spawn_clock + (r.total_elapsed - r.checkpoint_cost);
-    out.bytes_shipped += r.bytes_shipped;
-    out.retransmissions += r.retransmissions;
-
-    // Supervised child run: while a crash is pending, the node dies partway
-    // through the remaining work; if checkpoints were shipped ahead, the
-    // parent re-dispatches the newest chain to a surviving node and only the
-    // tail since the last image is redone.
-    VDuration remaining = specs[i].duration;
-    VDuration resume_at = child_start;
-    bool alive = r.ok;
-    std::size_t used_failovers = 0;
-    while (alive && crash_pending) {
-      // Where in the remaining run the node dies (deterministic per seed).
-      const VDuration crash_after = static_cast<VDuration>(
-          child_rng.next_double() * static_cast<double>(remaining));
-      const std::size_t shipped = static_cast<std::size_t>(
-          crash_after / opts.checkpoint_interval);
-      const VDuration preserved =
-          static_cast<VDuration>(shipped) * opts.checkpoint_interval;
-      out.bytes_shipped += shipped * delta_bytes;
-      const VTime crash_at = resume_at + crash_after +
-                             static_cast<VDuration>(shipped) * ship_overhead;
-      if (specs.size() < 2 || used_failovers >= opts.max_failovers) {
-        alive = false;  // no surviving node / budget spent: demote
-        break;
-      }
-      ++used_failovers;
-      ++out.restarts;
-      // The replacement node pulls the chain (base + shipped deltas) from
-      // the file server; detection costs one retry timeout.
-      const std::size_t chain_bytes = full_bytes + shipped * delta_bytes;
-      VDuration redispatch;
-      if (lossy) {
-        const ReliableTransfer t =
-            reliable_transfer(link, chain_bytes, child_rng, opts.retry);
-        out.retransmissions += t.attempts - 1;
-        if (!t.ok) {
-          alive = false;  // the chain never reached the replacement node
-          break;
-        }
-        redispatch = t.elapsed;
-      } else {
-        redispatch = link.transfer_time(chain_bytes);
-      }
-      ++out.failovers;
-      MW_TRACE_EVENT(trace::EventKind::kDistFailover, kNoPid, kNoPid, i,
-                     chain_bytes, crash_at);
-      out.work_preserved += preserved;
-      out.work_preserved_bytes += chain_bytes;
-      out.bytes_shipped += chain_bytes;
-      const std::size_t chain_pages =
-          r.pages_shipped + shipped * opts.checkpoint_pages;
-      const VDuration restore =
-          forker.cost().restore_base +
-          forker.cost().restore_per_page * static_cast<VDuration>(chain_pages);
-      remaining -= preserved;
-      resume_at = crash_at + opts.retry.rto_for(0) + redispatch + restore;
-      crash_pending =
-          static_cast<bool>(MW_FAULT_POINT("remote.node_crash", crash_at));
-    }
-    if (!alive) {
-      // Demoted to Failed: the parent learns the node is unreachable and
-      // stops waiting on it — it cannot win, and it cannot hang the block.
-      ++out.remotes_failed;
-      MW_TRACE_EVENT(trace::EventKind::kDistDemote, kNoPid, kNoPid, i);
-      continue;
-    }
-    // Steady-state checkpoint shipping over the rest of the run.
-    VDuration ckpt_drag = 0;
-    if (failover_on) {
-      const std::size_t shipped_rest = static_cast<std::size_t>(
-          remaining / opts.checkpoint_interval);
-      ckpt_drag = static_cast<VDuration>(shipped_rest) * ship_overhead;
-      out.bytes_shipped += shipped_rest * delta_bytes;
-    }
-    if (!specs[i].success) continue;
-
-    VDuration reply = link.transfer_time(256);
-    if (lossy) {
-      const ReliableTransfer t =
-          reliable_transfer(link, 256, child_rng, opts.retry);
-      out.retransmissions += t.attempts - 1;
-      if (!t.ok) {
-        ++out.remotes_failed;  // its result can never reach the parent
-        MW_TRACE_EVENT(trace::EventKind::kDistDemote, kNoPid, kNoPid, i);
-        continue;
-      }
-      reply = t.elapsed;
-    }
-    const VDuration finish = resume_at + remaining + ckpt_drag + reply;
-    if (finish < best) {
-      best = finish;
-      out.winner = i;
-      out.failed = false;
-    }
-  }
-  out.spawn_total = spawn_clock;
-  out.elapsed = out.failed ? kVTimeMax : best;
-
-  if (out.failed && opts.local_fallback) {
-    // Every remote was demoted or failed: degrade to the local timeshared
-    // race, charging the time already sunk into the remote attempts.
-    std::vector<VirtualTask> tasks;
-    tasks.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      tasks.push_back(VirtualTask{
-          static_cast<Pid>(i + 1),
-          opts.local_fork_cost * static_cast<VDuration>(i + 1),
-          specs[i].duration, specs[i].success});
-    }
-    const ScheduleOutcome sched = ps_schedule(opts.local_processors, tasks);
-    if (sched.winner_index.has_value()) {
-      out.failed = false;
-      out.used_local_fallback = true;
-      out.winner = *sched.winner_index;
-      out.elapsed = spawn_clock + sched.winner_finish;
-    }
-  }
   return out;
 }
 

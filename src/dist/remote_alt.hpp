@@ -7,7 +7,9 @@
 // increases, latency will still restrain distributed performance." Against
 // that, a local machine with few processors timeshares: every extra
 // alternative slows the others down. This module computes both schedules
-// so benches can locate the crossover.
+// in closed form over a lossless link so benches can locate the crossover
+// (EXT-DIST). The executable protocol — loss, retransmission, failover to
+// a standby, local fallback — is transport_race.hpp.
 #pragma once
 
 #include <vector>
@@ -28,50 +30,6 @@ struct DistributedRaceResult {
   VDuration elapsed = 0;        // parent-observed time to the winner's reply
   VDuration spawn_total = 0;    // serial rfork cost paid by the parent
   std::size_t bytes_shipped = 0;
-  /// Unreliable-race extras (zero on the reliable overload).
-  std::size_t remotes_failed = 0;   // rforks/replies demoted to Failed
-  std::size_t retransmissions = 0;
-  bool used_local_fallback = false;
-  /// Supervised-recovery extras (all zero unless opts.checkpoint_interval
-  /// is set). A restart is an attempt to resume a crashed child from its
-  /// newest shipped checkpoint chain; a failover is a restart whose
-  /// re-dispatch actually reached a surviving node.
-  std::size_t restarts = 0;
-  std::size_t failovers = 0;
-  /// Computation time salvaged by failovers (work the replacement node did
-  /// NOT have to redo because checkpoints had been shipped ahead).
-  VDuration work_preserved = 0;
-  /// Checkpoint-chain bytes the failovers restored from.
-  std::size_t work_preserved_bytes = 0;
-};
-
-/// Knobs for the unreliable-network race. Loss/duplication/jitter come from
-/// the forker's LinkModel; `seed` drives the per-child loss streams.
-struct DistRaceOptions {
-  bool on_demand = false;
-  double touch_fraction = 0.3;
-  std::uint64_t seed = 1;
-  RetryPolicy retry;
-  /// Graceful degradation: when *every* remote alternative is demoted
-  /// (rfork retries exhausted, node crash, or failed reply), re-run the
-  /// race locally under timesharing instead of failing outright.
-  bool local_fallback = true;
-  std::size_t local_processors = 2;
-  VDuration local_fork_cost = vt_ms(12);
-
-  /// Remote failover (PR 3). When nonzero, every remote child ships an
-  /// incremental checkpoint of its write set back to the file server each
-  /// `checkpoint_interval` of its own run time; a node crash mid-run
-  /// ("remote.node_crash") is then recovered by re-dispatching the child's
-  /// newest shipped chain to a surviving node instead of demoting it, so
-  /// only the work since the last shipped image is redone. 0 preserves the
-  /// pre-failover behavior: a node crash demotes the child outright.
-  VDuration checkpoint_interval = 0;
-  /// Pages in each delta image (the child's steady-state write set).
-  std::size_t checkpoint_pages = 4;
-  /// Re-dispatch budget per child; crashes beyond it demote the child
-  /// (which may still leave the race to the local fallback).
-  std::size_t max_failovers = 1;
 };
 
 /// Races `specs` with one remote node per alternative. The parent performs
@@ -82,18 +40,6 @@ DistributedRaceResult distributed_race(const RemoteForker& forker,
                                        const std::vector<RemoteAltSpec>& specs,
                                        bool on_demand = false,
                                        double touch_fraction = 0.3);
-
-/// The unreliable-network race: rforks go through the ack/retransmit
-/// protocol; a remote whose rfork or reply cannot be completed is demoted
-/// to Failed (it can neither win nor hang the block) rather than wedging
-/// the race; fault points "rfork.transfer" and "remote.node_crash" apply.
-/// If every remote is demoted and opts.local_fallback is set, the race is
-/// re-run locally (the time already wasted on the remote attempts is
-/// charged to the result).
-DistributedRaceResult distributed_race(const RemoteForker& forker,
-                                       const AddressSpace& parent_image,
-                                       const std::vector<RemoteAltSpec>& specs,
-                                       const DistRaceOptions& opts);
 
 /// The same race run locally on `processors` CPUs under timesharing
 /// (processor sharing) with the given per-fork cost; returns the winner's

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "fault/fault.hpp"
 #include "util/check.hpp"
 
 namespace mw {
@@ -22,48 +21,6 @@ RforkResult RemoteForker::full_copy(const AddressSpace& src) const {
                     + link_.transfer_time(img.size_bytes());  // remote read
   r.restore_cost = cost_.restore_base + cost_.restore_per_page * pages;
 
-  r.start_elapsed = r.checkpoint_cost + r.transfer_cost + r.restore_cost;
-  r.total_elapsed = r.start_elapsed;
-  return r;
-}
-
-RforkResult RemoteForker::full_copy_unreliable(const AddressSpace& src,
-                                               Rng& rng,
-                                               const RetryPolicy& policy) const {
-  RforkResult r;
-  const CheckpointImage img = take_checkpoint(src, Registers{});
-  r.pages_shipped = img.resident_pages;
-  r.bytes_shipped = img.size_bytes();
-
-  const auto pages = static_cast<VDuration>(img.resident_pages);
-  r.checkpoint_cost = cost_.checkpoint_base + cost_.checkpoint_per_page * pages;
-
-  // A crashed remote node fails the rfork after the sender has burned its
-  // full retry budget discovering the silence.
-  const FaultAction fault = MW_FAULT_POINT("rfork.transfer");
-  if (fault.kind == FaultKind::kNodeCrash ||
-      fault.kind == FaultKind::kFailAlternative) {
-    r.ok = false;
-    r.transfer_cost = policy.exhausted_budget();
-    r.start_elapsed = r.checkpoint_cost + r.transfer_cost;
-    r.total_elapsed = r.start_elapsed;
-    return r;
-  }
-
-  // The same three NFS-protocol messages as full_copy, each sent reliably.
-  const std::size_t legs[3] = {img.size_bytes(), 128, img.size_bytes()};
-  for (std::size_t bytes : legs) {
-    const ReliableTransfer t = reliable_transfer(link_, bytes, rng, policy);
-    r.transfer_cost += t.elapsed;
-    r.retransmissions += t.attempts - 1;
-    if (!t.ok) {
-      r.ok = false;
-      r.start_elapsed = r.checkpoint_cost + r.transfer_cost;
-      r.total_elapsed = r.start_elapsed;
-      return r;
-    }
-  }
-  r.restore_cost = cost_.restore_base + cost_.restore_per_page * pages;
   r.start_elapsed = r.checkpoint_cost + r.transfer_cost + r.restore_cost;
   r.total_elapsed = r.start_elapsed;
   return r;

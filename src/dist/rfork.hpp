@@ -17,9 +17,7 @@
 
 #include "dist/checkpoint.hpp"
 #include "dist/net_sim.hpp"
-#include "dist/reliable.hpp"
 #include "pagestore/address_space.hpp"
-#include "util/rng.hpp"
 #include "util/vtime.hpp"
 
 namespace mw {
@@ -49,11 +47,6 @@ struct RforkResult {
   VDuration transfer_cost = 0;
   VDuration restore_cost = 0;
   VDuration fault_cost = 0;
-  /// Unreliable path only: false when a protocol message exhausted its
-  /// retries or the remote node crashed — the rfork did not complete, and
-  /// the elapsed fields count the time *wasted* learning that.
-  bool ok = true;
-  std::size_t retransmissions = 0;
 };
 
 class RemoteForker {
@@ -69,17 +62,6 @@ class RemoteForker {
   /// `touch_fraction` of the resident pages across the network as the
   /// remote child references them.
   RforkResult on_demand(const AddressSpace& src, double touch_fraction) const;
-
-  /// full_copy over an unreliable link: every protocol message goes through
-  /// the ack/retransmit protocol (loss drawn from `rng` per the link's
-  /// loss_probability). A message whose retries exhaust — or a fired
-  /// MW_FAULT_POINT("rfork.transfer") of kind kNodeCrash /
-  /// kFailAlternative — marks the result failed instead of hanging.
-  RforkResult full_copy_unreliable(const AddressSpace& src, Rng& rng,
-                                   const RetryPolicy& policy = {}) const;
-
-  const LinkModel& link() const { return link_; }
-  const DistCost& cost() const { return cost_; }
 
  private:
   LinkModel link_;

@@ -1,6 +1,7 @@
 #include "dist/transport_channel.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -18,6 +19,27 @@ constexpr std::size_t kDataHeader = 1 + 8 + 4 + 4 + 4;
 constexpr std::size_t kMaxFragments = 64;  // one ack-bitmap word
 
 }  // namespace
+
+VDuration RetryPolicy::rto_for(std::size_t attempt) const {
+  double rto = static_cast<double>(rto_initial) *
+               std::pow(backoff, static_cast<double>(attempt));
+  rto = std::min(rto, static_cast<double>(rto_cap));
+  return static_cast<VDuration>(std::llround(rto));
+}
+
+VDuration RetryPolicy::rto_jittered(std::size_t attempt, Rng& rng) const {
+  // Always draw: a policy toggling jitter on must not shift the caller's
+  // stream for every draw after this one.
+  const double scale = 1.0 + rng.next_double() * std::max(jitter, 0.0);
+  return static_cast<VDuration>(
+      std::llround(static_cast<double>(rto_for(attempt)) * scale));
+}
+
+VDuration RetryPolicy::exhausted_budget() const {
+  VDuration total = 0;
+  for (std::size_t k = 0; k < max_attempts; ++k) total += rto_for(k);
+  return total;
+}
 
 TransportChannel::TransportChannel(Transport& transport, NodeId self,
                                    RetryPolicy policy,
@@ -166,6 +188,9 @@ void TransportChannel::handle_data(NodeId from, ByteReader& r) {
   const std::uint32_t count = r.get_u32();
   const std::uint32_t total = r.get_u32();
   if (!r.ok() || count == 0 || count > kMaxFragments || frag >= count) return;
+  // A length no sender could produce is forged: drop it unacked, before it
+  // can claim an inbound entry or size an allocation.
+  if (total > max_message_bytes()) return;
 
   auto done = completed_.find(from);
   if (done != completed_.end() && done->second.count(xfer)) {
@@ -200,12 +225,14 @@ void TransportChannel::handle_data(NodeId from, ByteReader& r) {
                                  : (std::uint64_t{1} << count) - 1;
   if (in.have != want) return;
 
+  std::size_t received = 0;
+  for (const auto& f : in.frags) received += f.size();
   Bytes payload;
-  payload.reserve(in.total);
+  payload.reserve(received);
   for (auto& f : in.frags) payload.insert(payload.end(), f.begin(), f.end());
   inbound_.erase(it);
   completed_[from].insert(xfer);
-  if (payload.size() != total) return;  // length forged across fragments
+  if (received != total) return;  // length forged across fragments
   if (handler_) handler_(from, payload);
 }
 

@@ -1,6 +1,7 @@
 // TransportChannel: exactly-once(ish) payload delivery over any Transport
-// backend — the retry/backoff/deadline discipline of ReliableChannel,
-// rebuilt on the Transport seam so the identical channel code runs on the
+// backend — a positive-ack / retransmit protocol with capped exponential
+// backoff, seeded RTO jitter and per-request deadlines, written once on
+// the Transport seam so the identical channel code runs on the
 // deterministic simulator and on real UDP sockets.
 //
 // Protocol (all little-endian, riding inside one transport frame):
@@ -13,10 +14,11 @@
 // word); each RTO expiry retransmits only the fragments the last ack said
 // were missing. The receiver reassembles, delivers exactly once, and keeps
 // a completed-transfer set per sender so duplicate fragments re-ack but
-// never redeliver. Deadlines, capped exponential backoff, and seeded RTO
-// jitter all come from RetryPolicy; the counters land in the same
-// ReliableChannel::Stats struct the simulator channel reports, so
-// mw_trace/SpecProfile read both backends with one vocabulary.
+// never redeliver. A data frame whose `total` exceeds max_message_bytes()
+// is dropped unacked. Deadlines, capped exponential backoff, and seeded
+// RTO jitter all come from RetryPolicy; the counters land in Stats and
+// mirror into the trace stream, so mw_trace/SpecProfile read both
+// backends with one vocabulary.
 //
 // Heartbeats: enable_heartbeats() makes the channel beat every watched
 // peer on PeerHealthConfig::heartbeat_interval and run the PeerHealth
@@ -31,16 +33,56 @@
 #include <set>
 #include <vector>
 
-#include "dist/reliable.hpp"  // RetryPolicy, ReliableChannel::Stats
 #include "dist/transport.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace mw {
 
+struct RetryPolicy {
+  std::size_t max_attempts = 5;
+  VDuration rto_initial = vt_ms(30);
+  double backoff = 2.0;       // RTO multiplier per retry
+  VDuration rto_cap = vt_ms(240);
+  /// Jitter fraction: each attempt's effective RTO is scaled by a factor
+  /// drawn uniformly from [1, 1 + jitter) out of the caller's seeded
+  /// stream, decorrelating retry storms across peers. 0 = no jitter. The
+  /// jittered RTO is NOT re-capped: the cap bounds the base schedule,
+  /// jitter rides on top of it.
+  double jitter = 0.0;
+  /// Per-request deadline: a request still unresolved this long after it
+  /// was issued fails at its next timer check even if retry attempts
+  /// remain. 0 = no deadline (the retry budget alone bounds the wait).
+  VDuration deadline = 0;
+
+  /// RTO for attempt k (0-based): min(cap, initial * backoff^k).
+  VDuration rto_for(std::size_t attempt) const;
+  /// rto_for(attempt) scaled by a seeded jitter draw (one draw per call,
+  /// even when jitter == 0, so arming jitter never shifts the rest of the
+  /// caller's stream).
+  VDuration rto_jittered(std::size_t attempt, Rng& rng) const;
+  /// Worst-case sender-side wait: the sum of every attempt's base RTO.
+  VDuration exhausted_budget() const;
+};
+
 class TransportChannel : public TransportReceiver {
  public:
-  using Stats = ReliableChannel::Stats;
+  struct Stats {
+    std::uint64_t sends = 0;            // logical transfers initiated
+    std::uint64_t retransmissions = 0;  // extra data-frame attempts
+    std::uint64_t acks_sent = 0;
+    std::uint64_t failures = 0;         // transfers whose retries exhausted
+    std::uint64_t duplicates_suppressed = 0;  // receiver-side dedup hits
+    /// Retry-discipline health: every RTO expiry that found the transfer
+    /// unacked, the backoff actually paid waiting through those expiries,
+    /// and requests killed by their deadline rather than by attempt
+    /// exhaustion.
+    std::uint64_t timeouts = 0;          // RTO expiries on unacked transfers
+    VDuration backoff_total = 0;         // summed RTO ticks those cost
+    std::uint64_t deadline_failures = 0; // subset of failures: deadline hit
+    std::uint64_t frames_sent = 0;       // raw frames (data + ack + beat)
+    std::uint64_t heartbeats_sent = 0;
+  };
   using Handler = std::function<void(NodeId from, const Bytes& payload)>;
   using PeerCallback = std::function<void(NodeId peer, PeerState state)>;
 

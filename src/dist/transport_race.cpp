@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trace/trace.hpp"
 #include "util/check.hpp"
 
 namespace mw {
@@ -341,8 +342,11 @@ void RaceCoordinator::fail_over(std::uint64_t alt) {
     if (busy || channel_.health().state(w, now) == PeerState::kDead) continue;
     // Re-seal the restored state as a fresh full image: the standby gets
     // one blob, and the new chain roots at the point of death, not at 0.
-    Registers regs = restored.regs;
-    dispatch(alt, w, take_checkpoint(restored.space, regs));
+    const CheckpointImage image =
+        take_checkpoint(restored.space, restored.regs);
+    MW_TRACE_EVENT(trace::EventKind::kDistFailover, kNoPid, kNoPid, alt,
+                   image.blob.size(), now);
+    dispatch(alt, w, image);
     return;
   }
   // Fully partitioned from every worker: graceful degradation — finish
@@ -353,6 +357,8 @@ void RaceCoordinator::fail_over(std::uint64_t alt) {
 void RaceCoordinator::finish_locally(std::uint64_t alt,
                                      RestoreResult restored) {
   Alt& a = alts_.at(alt);
+  MW_TRACE_EVENT(trace::EventKind::kDistDemote, kNoPid, kNoPid, alt, 0,
+                 transport_.now());
   const auto race = restored.space.find_segment("race");
   const auto scratch = restored.space.find_segment("scratch");
   if (!race || !scratch) {

@@ -1,7 +1,8 @@
-// The distributed alternative race, rebuilt as an executable protocol on
-// the Transport seam (§3.1, §4.1). Where remote_alt.hpp computes the
-// race's *schedule* in closed form from the link model, this module
-// actually runs it: a RaceCoordinator rforks work to RaceWorkers by
+// The distributed alternative race as an executable protocol on the
+// Transport seam (§3.1, §4.1) — the repo's one implementation of the
+// race's loss, retry, failover and fallback behaviour (remote_alt.hpp
+// keeps only the paper's lossless closed-form schedule). A
+// RaceCoordinator rforks work to RaceWorkers by
 // shipping full checkpoint images over a TransportChannel; workers execute
 // the alternative in timer-driven slices, shipping a delta checkpoint of
 // their write set every few slices; the coordinator keeps each
@@ -9,6 +10,8 @@
 // the newest chain, re-seals it as a fresh full image, and re-dispatches
 // it to a standby — or, with no standby left (total partition), degrades
 // gracefully by finishing the alternative locally from the same chain.
+// Each re-dispatch traces dist_failover (a = alt, b = re-sealed image
+// bytes); each local finish traces dist_demote (a = alt).
 //
 // Because everything is messages and Transport timers — no sleeps, no
 // threads — the identical coordinator/worker code runs in-process on

@@ -94,9 +94,9 @@ namespace mw::trace {
   X(kSuperCheckpoint, 82, "super_checkpoint")                                 \
       /* pid=attempt, a=resident pages, b=1 if delta */                       \
   X(kDistFailover, 83, "dist_failover")                                       \
-      /* a=child index, b=bytes re-dispatched */                              \
+      /* a=alt index, b=bytes of the re-sealed image re-dispatched */         \
   X(kDistDemote, 84, "dist_demote")                                           \
-      /* a=child index — remote child demoted to Failed */                    \
+      /* a=alt index — alternative finished locally by the coordinator */     \
   /* Speculation scheduler (src/core/spec_scheduler, the kPool backend). */   \
   X(kSchedEnqueue, 96, "sched_enqueue")                                       \
       /* pid=task, other=parent, a=group, b=alt index */                      \

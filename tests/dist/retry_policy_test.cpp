@@ -2,13 +2,22 @@
 
 #include <vector>
 
-#include "dist/net_sim.hpp"
-#include "dist/reliable.hpp"
+#include "dist/sim_transport.hpp"
+#include "dist/transport_channel.hpp"
 #include "util/des.hpp"
 #include "util/rng.hpp"
 
 namespace mw {
 namespace {
+
+/// Sends one 100-byte (single-fragment) payload from node 0 to an unbound
+/// node 1 and runs the transport dry; returns how often on_failed fired.
+int send_one(SimTransport& t, TransportChannel& ch) {
+  int failed = 0;
+  ch.send(1, Bytes(100), [] {}, [&] { ++failed; });
+  t.run();
+  return failed;
+}
 
 // --- retry-budget exhaustion ---------------------------------------------
 
@@ -16,14 +25,11 @@ TEST(RetryPolicy, SingleAttemptBudgetNeverRetries) {
   EventQueue q;
   LinkModel link;
   link.loss_probability = 1.0;
-  NetSim net(q, link, /*seed=*/2);
+  SimTransport t(q, link, /*seed=*/2);
   RetryPolicy policy;
   policy.max_attempts = 1;
-  ReliableChannel ch(net, policy);
-  int failed = 0;
-  ch.send(0, 1, 100, [] {}, [&] { ++failed; });
-  q.run();
-  EXPECT_EQ(failed, 1);
+  TransportChannel ch(t, 0, policy);
+  EXPECT_EQ(send_one(t, ch), 1);
   EXPECT_EQ(ch.stats().retransmissions, 0u);
   EXPECT_EQ(ch.stats().timeouts, 1u);  // the one RTO that killed it
   EXPECT_EQ(ch.stats().backoff_total, policy.rto_for(0));
@@ -33,13 +39,10 @@ TEST(RetryPolicy, ExhaustionAccountsEveryRtoInBackoffTotal) {
   EventQueue q;
   LinkModel link;
   link.loss_probability = 1.0;
-  NetSim net(q, link, /*seed=*/2);
+  SimTransport t(q, link, /*seed=*/2);
   RetryPolicy policy;  // 5 attempts
-  ReliableChannel ch(net, policy);
-  int failed = 0;
-  ch.send(0, 1, 100, [] {}, [&] { ++failed; });
-  q.run();
-  EXPECT_EQ(failed, 1);
+  TransportChannel ch(t, 0, policy);
+  EXPECT_EQ(send_one(t, ch), 1);
   EXPECT_EQ(ch.stats().timeouts, policy.max_attempts);
   EXPECT_EQ(ch.stats().backoff_total, policy.exhausted_budget());
   EXPECT_EQ(ch.stats().deadline_failures, 0u);
@@ -83,15 +86,12 @@ TEST(RetryPolicy, ZeroRtoStillTerminatesAtAttemptBudget) {
   link.loss_probability = 1.0;
   link.latency = 0;
   link.per_message_overhead = 0;
-  NetSim net(q, link, /*seed=*/5);
+  SimTransport t(q, link, /*seed=*/5);
   RetryPolicy policy;
   policy.rto_initial = 0;
   policy.rto_cap = 0;
-  ReliableChannel ch(net, policy);
-  int failed = 0;
-  ch.send(0, 1, 100, [] {}, [&] { ++failed; });
-  q.run();
-  EXPECT_EQ(failed, 1);
+  TransportChannel ch(t, 0, policy);
+  EXPECT_EQ(send_one(t, ch), 1);
   EXPECT_EQ(ch.stats().retransmissions, policy.max_attempts - 1);
   EXPECT_EQ(ch.stats().backoff_total, 0);
 }

@@ -10,38 +10,15 @@
 #include <vector>
 
 #include "core/runtime_auditor.hpp"
-#include "dist/sim_transport.hpp"
+#include "sim_race_cluster.hpp"
 #include "dist/socket_transport.hpp"
-#include "dist/transport_race.hpp"
 #include "fault/fault.hpp"
+#include "trace/spec_profile.hpp"
+#include "trace/trace.hpp"
 #include "util/des.hpp"
 
 namespace mw {
 namespace {
-
-RaceConfig sim_config() {
-  RaceConfig c;
-  c.steps_per_checkpoint = 64;
-  c.slice_delay = vt_ms(1);
-  return c;
-}
-
-/// One in-process sim cluster: a coordinator plus `n` workers sharing a
-/// SimTransport. Nodes: coordinator = 100, workers = 1..n.
-struct SimCluster {
-  explicit SimCluster(std::size_t n, RaceConfig config = sim_config(),
-                      LinkModel link = {}, std::uint64_t seed = 1)
-      : transport(queue, link, seed), coordinator(transport, 100, config) {
-    for (std::size_t i = 1; i <= n; ++i)
-      workers.push_back(
-          std::make_unique<RaceWorker>(transport, NodeId(i), 100, config));
-    transport.run_until(vt_ms(10));  // let the joins land
-  }
-  EventQueue queue;
-  SimTransport transport;
-  RaceCoordinator coordinator;
-  std::vector<std::unique_ptr<RaceWorker>> workers;
-};
 
 TEST(RaceReference, RecurrenceIsDeterministic) {
   EXPECT_EQ(race_reference(0), 0u);
@@ -50,7 +27,7 @@ TEST(RaceReference, RecurrenceIsDeterministic) {
 }
 
 TEST(RaceSim, UndisturbedRaceCompletesWithCorrectAccumulators) {
-  SimCluster c(2);
+  SimRaceCluster c(2);
   ASSERT_EQ(c.coordinator.joined(), 2u);
   c.coordinator.start({1000, 600});
   c.transport.run_until(vt_sec(2));
@@ -71,8 +48,16 @@ TEST(RaceSim, UndisturbedRaceCompletesWithCorrectAccumulators) {
   EXPECT_FALSE(out.used_local_fallback);
 }
 
+/// Drains the trace rings into a profile (the caller opened the Scope).
+[[maybe_unused]] trace::SpecProfile drained_profile() {
+  EXPECT_EQ(trace::dropped(), 0u);
+  return trace::build_spec_profile(trace::drain());
+}
+
 TEST(RaceSim, KilledWorkerFailsOverToStandbyPreservingWork) {
-  SimCluster c(3);  // 2 assigned + 1 standby
+  trace::reset();
+  trace::Scope scope;
+  SimRaceCluster c(3);  // 2 assigned + 1 standby
   ASSERT_EQ(c.coordinator.joined(), 3u);
   c.coordinator.start({4000, 500});
 
@@ -96,11 +81,62 @@ TEST(RaceSim, KilledWorkerFailsOverToStandbyPreservingWork) {
   EXPECT_GT(failed_over.start_step, 0u);
   EXPECT_FALSE(failed_over.finished_locally);
   EXPECT_FALSE(out.used_local_fallback);
+#if !defined(MW_TRACE_DISABLED)
+  const trace::SpecProfile p = drained_profile();
+  EXPECT_EQ(p.count(trace::EventKind::kDistFailover), 1u);
+  EXPECT_EQ(p.count(trace::EventKind::kDistDemote), 0u);
+  EXPECT_EQ(p.restarts(), 1u);
+#endif
+}
+
+TEST(RaceSim, FailoverBudgetExhaustionFinishesLocally) {
+  RaceConfig config = sim_race_config();
+  config.max_failovers = 1;
+  SimRaceCluster c(3, config);  // 1 assigned + 2 standbys
+  c.coordinator.start({4000});
+
+  // Kill the assigned worker once deltas have shipped, then kill the
+  // standby that took it over (the next worker in join order). A standby
+  // is still free, so only the budget of one sends the alt home.
+  ASSERT_TRUE(c.pump_until([&] { return c.coordinator.chain_length(0) >= 4; }));
+  c.worker(c.coordinator.workers()[0]).kill();
+  ASSERT_TRUE(
+      c.pump_until([&] { return c.coordinator.outcome().failovers == 1; }));
+  ASSERT_TRUE(c.pump_until([&] { return c.coordinator.chain_length(0) >= 2; }));
+  ASSERT_FALSE(c.coordinator.done());
+  c.worker(c.coordinator.workers()[1]).kill();
+
+  c.transport.run_until(c.transport.now() + vt_sec(5));
+  ASSERT_TRUE(c.coordinator.done());
+  const RaceAltOutcome& alt = c.coordinator.outcome().alts[0];
+  EXPECT_TRUE(alt.finished_locally);
+  EXPECT_TRUE(alt.accumulator_ok);
+  EXPECT_EQ(alt.failovers, 2u);
+  EXPECT_TRUE(c.coordinator.outcome().used_local_fallback);
+}
+
+TEST(RaceSim, SingleKilledWorkerWithNoStandbyFinishesLocally) {
+  SimRaceCluster c(1);
+  c.coordinator.start({4000});
+  ASSERT_TRUE(c.pump_until([&] { return c.coordinator.chain_length(0) >= 4; }));
+  ASSERT_FALSE(c.coordinator.done());
+  c.worker(1).kill();
+
+  c.transport.run_until(c.transport.now() + vt_sec(5));
+  ASSERT_TRUE(c.coordinator.done());
+  const RaceOutcome& out = c.coordinator.outcome();
+  EXPECT_TRUE(out.all_completed);
+  EXPECT_TRUE(out.used_local_fallback);
+  EXPECT_TRUE(out.alts[0].finished_locally);
+  EXPECT_TRUE(out.alts[0].accumulator_ok);
+  EXPECT_EQ(out.alts[0].failovers, 1u);
+  // The coordinator resumed from the shipped chain, not from step 0.
+  EXPECT_GT(out.alts[0].start_step, 0u);
 }
 
 TEST(RaceSim, FailoverIsDeterministicPerSeed) {
   auto run = [] {
-    SimCluster c(3);
+    SimRaceCluster c(3);
     c.coordinator.start({4000, 500});
     while (c.coordinator.chain_length(0) < 4) c.transport.poll();
     c.workers[c.coordinator.workers()[0] - 1]->kill();
@@ -114,7 +150,9 @@ TEST(RaceSim, FailoverIsDeterministicPerSeed) {
 }
 
 TEST(RaceSim, TotalPartitionDegradesToLocalExecution) {
-  SimCluster c(1);
+  trace::reset();
+  trace::Scope scope;
+  SimRaceCluster c(1);
   c.coordinator.start({4000});
   while (c.coordinator.chain_length(0) < 4) c.transport.poll();
   ASSERT_FALSE(c.coordinator.done());
@@ -133,6 +171,11 @@ TEST(RaceSim, TotalPartitionDegradesToLocalExecution) {
   EXPECT_TRUE(out.alts[0].accumulator_ok);
   EXPECT_GT(out.alts[0].start_step, 0u);
   EXPECT_GT(c.transport.stats().messages_partitioned, 0u);
+#if !defined(MW_TRACE_DISABLED)
+  const trace::SpecProfile p = drained_profile();
+  EXPECT_EQ(p.count(trace::EventKind::kDistDemote), 1u);
+  EXPECT_EQ(p.count(trace::EventKind::kDistFailover), 0u);
+#endif
 }
 
 TEST(RaceSim, FailoverCompletesAuditorClean) {
@@ -141,7 +184,7 @@ TEST(RaceSim, FailoverCompletesAuditorClean) {
   // exists, audit after it is torn down.
   RuntimeAuditor auditor;
   {
-    SimCluster c(3);
+    SimRaceCluster c(3);
     c.coordinator.start({4000, 500});
     while (c.coordinator.chain_length(0) < 4) c.transport.poll();
     c.workers[c.coordinator.workers()[0] - 1]->kill();
@@ -167,7 +210,7 @@ TEST(RaceSimFaultMatrix, DropAndDelayFaultsNeverBreakTheRace) {
     inj.arm("net.dup",
             FaultSpec::with_probability(FaultKind::kDuplicateMessage, 0.05));
     FaultScope scope(inj);
-    SimCluster c(2, sim_config(), LinkModel{}, seed);
+    SimRaceCluster c(2, sim_race_config(), LinkModel{}, seed);
     c.coordinator.start({1500, 800});
     c.transport.run_until(vt_sec(10));
     ASSERT_TRUE(c.coordinator.done())

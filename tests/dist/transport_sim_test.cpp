@@ -384,6 +384,39 @@ TEST(TransportChannel, DuplicateFragmentsAreSuppressedNotRedelivered) {
   EXPECT_GT(b.stats().duplicates_suppressed, 0u);
 }
 
+TEST(TransportChannel, ForgedTotalIsDroppedUnackedAndKeepsNoState) {
+  EventQueue q;
+  SimTransport t(q, LinkModel{});
+  TransportChannel a(t, 0);
+  TransportChannel b(t, 1);
+  std::vector<Bytes> got;
+  b.set_handler([&](NodeId, const Bytes& p) { got.push_back(p); });
+
+  // Fragment 0 of 2 claiming a 4 GiB message, on the transfer id the
+  // genuine sender will use next: it must neither be acked nor leave an
+  // inbound entry that shadows the real transfer.
+  ByteWriter w;
+  w.put_u8(1);  // kData
+  w.put_u64(1);
+  w.put_u32(0);
+  w.put_u32(2);
+  w.put_u32(0xFFFFFFFFu);
+  w.put_bytes(make_payload(16));
+  const Bytes forged = w.take();
+  b.on_message(0, std::span<const std::uint8_t>(forged.data(), forged.size()));
+  t.run();
+  EXPECT_EQ(b.stats().acks_sent, 0u);
+  EXPECT_TRUE(got.empty());
+
+  const Bytes payload = make_payload(200, 9);
+  int delivered = 0;
+  ASSERT_TRUE(a.send(1, payload, [&] { ++delivered; }));
+  t.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(TransportChannel, HeartbeatsKeepPeersAliveAndSilenceKillsThem) {
   EventQueue q;
   SimTransport t(q, LinkModel{});

@@ -1,11 +1,12 @@
 // The randomized fault-matrix integration test: a fixed seed drives a
 // probabilistic mix of injected faults — alternatives that fail, crash
-// with a foreign exception, or hang; a lossy network under a distributed
-// race — across a sequence of alternative blocks. The contract under any
-// schedule the seed produces:
+// with a foreign exception, or hang — across a sequence of alternative
+// blocks, then a distributed race (transport_race over a SimTransport)
+// on a 20%-lossy link. The contract under any schedule the seed produces:
 //
 //   * every block completes (a winner, kAllFailed, or kTimeout — alt_wait
-//     never wedges);
+//     never wedges), and the race completes with every accumulator equal
+//     to race_reference;
 //   * the RuntimeAuditor finds zero orphan processes, zero unresolved
 //     splits, zero leaked pages;
 //   * replaying the same seed reproduces the identical fault schedule
@@ -15,13 +16,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "../dist/sim_race_cluster.hpp"
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
 #include "core/runtime.hpp"
 #include "core/runtime_auditor.hpp"
-#include "dist/remote_alt.hpp"
 #include "fault/fault.hpp"
 #include "io/transaction.hpp"
 #include "rb/recovery_block.hpp"
@@ -29,12 +31,16 @@
 namespace mw {
 namespace {
 
+/// Steps of the closing distributed race's three alternatives.
+const std::vector<std::uint64_t> kRaceSteps{2000, 1000, 3000};
+
 struct MatrixRun {
   std::uint64_t digest = 0;
   std::vector<int> winners;        // per block: winner index, -1 = failed
   std::vector<VDuration> elapsed;  // per block
-  std::size_t race_winner = 0;
-  bool race_failed = true;
+  RaceOutcome race;
+  bool race_done = false;
+  std::uint64_t race_retransmissions = 0;  // coordinator channel
   AuditReport audit;
 };
 
@@ -88,27 +94,55 @@ MatrixRun run_matrix(std::uint64_t seed) {
     EXPECT_TRUE(ao.winner.has_value() || ao.failed);
   }
 
-  // A distributed race over a 20%-lossy link rides the same seed.
-  RemoteForker forker{[] {
-                        LinkModel l;
-                        l.loss_probability = 0.2;
-                        return l;
-                      }(),
-                      DistCost{}};
-  AddressSpace image(4096, 32);
-  for (int p = 0; p < 8; ++p) image.store<int>(4096ull * p, p);
-  auditor.add_table(image.table());  // owned state, not a leak
-  DistRaceOptions ropts;
-  ropts.seed = seed;
-  const DistributedRaceResult race = distributed_race(
-      forker, image,
-      {{vt_sec(2), true}, {vt_sec(1), true}, {vt_sec(3), true}}, ropts);
-  out.race_failed = race.failed;
-  out.race_winner = race.winner;
+  // A distributed race over a 20%-lossy link rides the same seed: three
+  // alternatives on three workers plus one standby. Scoped so its pages
+  // are gone before the audit.
+  {
+    RaceConfig config = sim_race_config();
+    config.seed = seed;
+    LinkModel lossy;
+    lossy.loss_probability = 0.2;
+    SimRaceCluster c(4, config, lossy, seed);
+    EXPECT_EQ(c.coordinator.joined(), 4u);
+    c.coordinator.start(kRaceSteps);
+    out.race_done = c.pump_until([&] { return c.coordinator.done(); });
+    if (out.race_done) out.race = c.coordinator.outcome();
+    out.race_retransmissions = c.coordinator.channel().stats().retransmissions;
+  }
 
   out.audit = auditor.run(rt.processes());
   out.digest = inj.schedule_digest();
   return out;
+}
+
+void expect_race_completed(const MatrixRun& r, std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  ASSERT_TRUE(r.race_done);
+  EXPECT_TRUE(r.race.all_completed);
+  ASSERT_EQ(r.race.alts.size(), kRaceSteps.size());
+  for (std::size_t i = 0; i < kRaceSteps.size(); ++i)
+    EXPECT_EQ(r.race.alts[i].accumulator, race_reference(kRaceSteps[i]))
+        << "alt=" << i;
+}
+
+/// A replay must reproduce the fault schedule and every outcome.
+void expect_same_run(const MatrixRun& a, const MatrixRun& b,
+                     std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.winners, b.winners);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.race_done, b.race_done);
+  EXPECT_EQ(a.race.failovers, b.race.failovers);
+  EXPECT_EQ(a.race.checkpoints_received, b.race.checkpoints_received);
+  EXPECT_EQ(a.race.bytes_shipped, b.race.bytes_shipped);
+  EXPECT_EQ(a.race_retransmissions, b.race_retransmissions);
+  ASSERT_EQ(a.race.alts.size(), b.race.alts.size());
+  for (std::size_t i = 0; i < a.race.alts.size(); ++i) {
+    EXPECT_EQ(a.race.alts[i].start_step, b.race.alts[i].start_step);
+    EXPECT_EQ(a.race.alts[i].finished_locally,
+              b.race.alts[i].finished_locally);
+  }
 }
 
 TEST(FaultMatrix, EveryBlockCompletesAndRuntimeAuditsClean) {
@@ -118,7 +152,7 @@ TEST(FaultMatrix, EveryBlockCompletesAndRuntimeAuditsClean) {
   EXPECT_EQ(r.audit.orphan_processes.size(), 0u);
   EXPECT_EQ(r.audit.unresolved_splits.size(), 0u);
   EXPECT_EQ(r.audit.leaked_pages, 0);
-  EXPECT_FALSE(r.race_failed);
+  expect_race_completed(r, 0xfeedbeef);
 }
 
 TEST(FaultMatrix, FaultsActuallyFired) {
@@ -155,13 +189,7 @@ TEST(FaultMatrix, FaultsActuallyFired) {
 }
 
 TEST(FaultMatrix, ReplayingTheSeedReproducesScheduleAndOutcome) {
-  const MatrixRun a = run_matrix(0xfeedbeef);
-  const MatrixRun b = run_matrix(0xfeedbeef);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.winners, b.winners);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.race_failed, b.race_failed);
-  EXPECT_EQ(a.race_winner, b.race_winner);
+  expect_same_run(run_matrix(0xfeedbeef), run_matrix(0xfeedbeef), 0xfeedbeef);
 }
 
 TEST(FaultMatrix, DifferentSeedsProduceDifferentSchedules) {
@@ -177,12 +205,18 @@ TEST(FaultMatrix, EnvSeedSweepAuditsClean) {
       base_env ? std::strtoull(base_env, nullptr, 10) : 1;
   const std::uint64_t count =
       count_env ? std::strtoull(count_env, nullptr, 10) : 4;
+  std::uint64_t retransmissions_seen = 0;
   for (std::uint64_t seed = base; seed < base + count; ++seed) {
     const MatrixRun r = run_matrix(seed);
+    retransmissions_seen += r.race_retransmissions;
     EXPECT_EQ(r.winners.size(), 20u) << "seed=" << seed;
     EXPECT_TRUE(r.audit.clean()) << "seed=" << seed << " digest=" << r.digest
                                  << "\n" << r.audit.to_string();
+    expect_race_completed(r, seed);
+    expect_same_run(r, run_matrix(seed), seed);
   }
+  // The lossy link is vacuous if the channel never had to retransmit.
+  EXPECT_GT(retransmissions_seen, 0u);
 }
 
 TEST(FaultMatrix, ThreadBackendSurvivesCrashAndHangChildren) {

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "dist/net_sim.hpp"
-#include "dist/reliable.hpp"
+#include "dist/transport_channel.hpp"  // RetryPolicy
 #include "fault/fault.hpp"
 #include "util/des.hpp"
 
@@ -116,100 +116,6 @@ TEST(RetryPolicy, RtoBacksOffExponentiallyWithCap) {
   EXPECT_EQ(p.rto_for(4), vt_ms(240));  // capped
   EXPECT_EQ(p.exhausted_budget(),
             vt_ms(30) + vt_ms(60) + vt_ms(120) + vt_ms(240) + vt_ms(240));
-}
-
-TEST(ReliableChannel, PerfectLinkDeliversOnceWithNoRetransmission) {
-  EventQueue q;
-  NetSim net(q, LinkModel{});
-  ReliableChannel ch(net);
-  int delivered = 0, failed = 0;
-  ch.send(0, 1, 1000, [&] { ++delivered; }, [&] { ++failed; });
-  q.run();
-  EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(failed, 0);
-  EXPECT_EQ(ch.stats().retransmissions, 0u);
-}
-
-TEST(ReliableChannel, ExactlyOnceDeliveryUnderHeavyLoss) {
-  // 40% loss on both legs: retransmission must mask the loss, and receiver
-  // dedup must collapse duplicate attempts — every transfer's on_delivered
-  // runs at most once, and (with 5 attempts at 40% loss) nearly all runs.
-  EventQueue q;
-  LinkModel link;
-  link.loss_probability = 0.4;
-  NetSim net(q, link, /*seed=*/9);
-  ReliableChannel ch(net);
-  const int kTransfers = 40;
-  std::vector<int> delivered(kTransfers, 0);
-  int failures = 0;
-  for (int i = 0; i < kTransfers; ++i)
-    ch.send(0, 1, 500, [&delivered, i] { ++delivered[i]; },
-            [&failures] { ++failures; });
-  q.run();
-  int delivered_total = 0;
-  for (int i = 0; i < kTransfers; ++i) {
-    EXPECT_LE(delivered[i], 1) << "transfer " << i << " delivered twice";
-    delivered_total += delivered[i];
-  }
-  EXPECT_GT(ch.stats().retransmissions, 0u);
-  // Every transfer resolved: delivered, or reported failed (never silent).
-  EXPECT_GE(delivered_total + failures, kTransfers);
-  EXPECT_GT(delivered_total, kTransfers / 2);
-}
-
-TEST(ReliableChannel, TotalLossExhaustsRetriesAndReportsFailure) {
-  EventQueue q;
-  LinkModel link;
-  link.loss_probability = 1.0;
-  NetSim net(q, link, /*seed=*/9);
-  RetryPolicy policy;
-  ReliableChannel ch(net, policy);
-  int delivered = 0, failed = 0;
-  ch.send(0, 1, 500, [&] { ++delivered; }, [&] { ++failed; });
-  q.run();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(failed, 1);
-  EXPECT_EQ(ch.stats().retransmissions, policy.max_attempts - 1);
-  EXPECT_EQ(ch.stats().failures, 1u);
-  // The sender gave up after the last RTO, not never.
-  EXPECT_LE(q.now(), policy.exhausted_budget() + link.transfer_time(500));
-}
-
-TEST(ReliableTransfer, LosslessIsOneRoundTrip) {
-  LinkModel link;
-  Rng rng(1);
-  RetryPolicy policy;
-  const ReliableTransfer t = reliable_transfer(link, 1000, rng, policy);
-  EXPECT_TRUE(t.ok);
-  EXPECT_EQ(t.attempts, 1u);
-  EXPECT_EQ(t.elapsed,
-            link.transfer_time(1000) + link.transfer_time(policy.ack_bytes));
-}
-
-TEST(ReliableTransfer, TotalLossCostsEveryRto) {
-  LinkModel link;
-  link.loss_probability = 1.0;
-  Rng rng(1);
-  RetryPolicy policy;
-  const ReliableTransfer t = reliable_transfer(link, 1000, rng, policy);
-  EXPECT_FALSE(t.ok);
-  EXPECT_EQ(t.attempts, policy.max_attempts);
-  EXPECT_EQ(t.elapsed, policy.exhausted_budget());
-}
-
-TEST(ReliableTransfer, DeterministicPerStream) {
-  LinkModel link;
-  link.loss_probability = 0.5;
-  RetryPolicy policy;
-  auto run = [&](std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<VDuration> out;
-    for (int i = 0; i < 20; ++i)
-      out.push_back(reliable_transfer(link, 777, rng, policy).elapsed);
-    return out;
-  };
-  EXPECT_EQ(run(4), run(4));
-  EXPECT_NE(run(4), run(5));
 }
 
 }  // namespace

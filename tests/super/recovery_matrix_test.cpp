@@ -1,12 +1,15 @@
 // The recovery fault matrix (PR 3): seeded fault schedules drive supervised
 // tasks through crash restarts, hang watchdog kills, Transaction::try_commit
-// failures with in-step retries, gated effects, and a distributed failover
-// race — all in one run. The contract for every seed in the sweep:
+// failures with in-step retries, gated effects, and a distributed race
+// (transport_race over a SimTransport) whose workers the seed may crash —
+// all in one run. The contract for every seed in the sweep:
 //
 //   * every supervised task ends ok or quarantined (the supervisor never
 //     wedges, and never reports success with wrong state);
 //   * sink state is consistent: replayed transaction commits are idempotent
 //     and gated effects fire exactly once;
+//   * the race completes with every accumulator equal to race_reference,
+//     and an alternative that failed over resumed from shipped work;
 //   * the RuntimeAuditor finds zero orphans, zero unresolved splits, zero
 //     leaked pages;
 //   * the same seed replays to the identical schedule digest and outcome.
@@ -22,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "../dist/sim_race_cluster.hpp"
 #include "core/runtime_auditor.hpp"
-#include "dist/remote_alt.hpp"
 #include "fault/fault.hpp"
 #include "io/source_gate.hpp"
 #include "io/transaction.hpp"
@@ -47,8 +50,9 @@ struct MatrixOutcome {
   std::uint64_t gate_executed = 0, gate_dropped = 0;
   std::uint64_t effects_emitted = 0;
   bool race_completed = false;
-  std::size_t race_failovers = 0, race_restarts = 0;
-  std::size_t race_preserved_bytes = 0;
+  std::size_t race_kills = 0, race_failovers = 0;
+  std::size_t race_bytes_shipped = 0;
+  std::vector<std::uint64_t> race_start_steps;
   AuditReport audit;
 };
 
@@ -167,25 +171,42 @@ MatrixOutcome run_matrix(std::uint64_t seed) {
   out.gate_dropped = gate.dropped();
   EXPECT_EQ(gate.deferred_pending(), 0u);
 
-  // 4. The distributed failover race rides the same schedule.
+  // 4. The distributed race rides the same schedule. The seeded
+  // "remote.node_crash" point decides, per alternative, whether its worker
+  // dies once a delta has shipped; two standbys take the failovers.
   {
-    RemoteForker forker{LinkModel{}, DistCost{}};
-    AddressSpace image(4096, 32);
-    for (int p = 0; p < 8; ++p) image.store<int>(4096ull * p, p);
-    DistRaceOptions opts;
-    opts.seed = seed;
-    opts.checkpoint_interval = vt_ms(100);
-    opts.max_failovers = 2;
-    const DistributedRaceResult race = distributed_race(
-        forker, image,
-        {{vt_sec(2), true}, {vt_sec(1), true}, {vt_sec(3), true}}, opts);
-    out.race_completed = !race.failed;
-    out.race_failovers = race.failovers;
-    out.race_restarts = race.restarts;
-    out.race_preserved_bytes = race.work_preserved_bytes;
-    EXPECT_TRUE(out.race_completed);  // failover or fallback, never a wedge
-    EXPECT_LE(race.failovers, race.restarts);
-    if (race.failovers > 0) EXPECT_GT(race.work_preserved_bytes, 0u);
+    RaceConfig config = sim_race_config();
+    config.seed = seed;
+    config.max_failovers = 2;
+    SimRaceCluster c(5, config, LinkModel{}, seed);
+    const std::vector<std::uint64_t> steps{2000, 1000, 3000};
+    c.coordinator.start(steps);
+    for (std::uint64_t alt = 0; alt < steps.size(); ++alt) {
+      if (!MW_FAULT_POINT("remote.node_crash", c.transport.now())) continue;
+      EXPECT_TRUE(c.pump_until(
+          [&] { return c.coordinator.chain_length(alt) >= 2; }))
+          << "seed=" << seed;
+      c.worker(c.coordinator.workers()[alt]).kill();
+      ++out.race_kills;
+    }
+    out.race_completed = c.pump_until([&] { return c.coordinator.done(); });
+    EXPECT_TRUE(out.race_completed) << "seed=" << seed;  // never a wedge
+    if (out.race_completed) {
+      const RaceOutcome& race = c.coordinator.outcome();
+      EXPECT_TRUE(race.all_completed) << "seed=" << seed;
+      out.race_failovers = race.failovers;
+      out.race_bytes_shipped = race.bytes_shipped;
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        const RaceAltOutcome& alt = race.alts[i];
+        EXPECT_EQ(alt.accumulator, race_reference(steps[i]))
+            << "seed=" << seed << " alt=" << i;
+        // A failover restored the shipped chain: work since step 0 kept.
+        if (alt.failovers > 0) {
+          EXPECT_GT(alt.start_step, 0u) << "seed=" << seed << " alt=" << i;
+        }
+        out.race_start_steps.push_back(alt.start_step);
+      }
+    }
   }
 
   // Every attempt pid the matrix created must have reached a terminal
@@ -202,6 +223,23 @@ MatrixOutcome run_matrix(std::uint64_t seed) {
   return out;
 }
 
+/// A replay must reproduce the fault schedule and every outcome.
+void expect_same_outcome(const MatrixOutcome& a, const MatrixOutcome& b,
+                         std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.crashy_ok, b.crashy_ok);
+  EXPECT_EQ(a.hangy_ok, b.hangy_ok);
+  EXPECT_EQ(a.txn_ok, b.txn_ok);
+  EXPECT_EQ(a.total_restarts, b.total_restarts);
+  EXPECT_EQ(a.gate_executed, b.gate_executed);
+  EXPECT_EQ(a.race_kills, b.race_kills);
+  EXPECT_EQ(a.race_failovers, b.race_failovers);
+  EXPECT_EQ(a.race_bytes_shipped, b.race_bytes_shipped);
+  EXPECT_EQ(a.race_start_steps, b.race_start_steps);
+}
+
 TEST(RecoveryMatrix, SweepEndsCleanForEverySeed) {
   const std::uint64_t base = env_u64("MW_FAULT_SEED_BASE", 1);
   const std::uint64_t count = env_u64("MW_FAULT_SEED_COUNT", 8);
@@ -216,24 +254,17 @@ TEST(RecoveryMatrix, SweepEndsCleanForEverySeed) {
     EXPECT_EQ(r.audit.orphan_processes.size(), 0u) << "seed=" << seed;
     EXPECT_EQ(r.audit.unresolved_splits.size(), 0u) << "seed=" << seed;
     EXPECT_EQ(r.audit.leaked_pages, 0) << "seed=" << seed;
+    expect_same_outcome(r, run_matrix(seed), seed);
   }
-  // The sweep is vacuous if no fault ever forced a recovery.
+  // The sweep is vacuous if no fault ever forced a recovery, and the race
+  // half of it is vacuous if no seeded crash ever forced a failover.
   EXPECT_GT(restarts_seen + failovers_seen, 0u);
+  EXPECT_GT(failovers_seen, 0u);
 }
 
 TEST(RecoveryMatrix, SeedReplaysToIdenticalScheduleAndOutcome) {
   const std::uint64_t seed = env_u64("MW_FAULT_SEED_BASE", 1);
-  const MatrixOutcome a = run_matrix(seed);
-  const MatrixOutcome b = run_matrix(seed);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.log, b.log);
-  EXPECT_EQ(a.crashy_ok, b.crashy_ok);
-  EXPECT_EQ(a.hangy_ok, b.hangy_ok);
-  EXPECT_EQ(a.txn_ok, b.txn_ok);
-  EXPECT_EQ(a.total_restarts, b.total_restarts);
-  EXPECT_EQ(a.gate_executed, b.gate_executed);
-  EXPECT_EQ(a.race_failovers, b.race_failovers);
-  EXPECT_EQ(a.race_preserved_bytes, b.race_preserved_bytes);
+  expect_same_outcome(run_matrix(seed), run_matrix(seed), seed);
 }
 
 TEST(RecoveryMatrix, DifferentSeedsProduceDifferentSchedules) {
