@@ -1,20 +1,9 @@
 #include "core/alt.hpp"
 
+#include "core/alt_block.hpp"
 #include "core/runtime.hpp"
 
 namespace mw {
-
-namespace internal {
-AltOutcome run_alternatives_virtual(Runtime& rt, World& parent,
-                                    const std::vector<Alternative>& alts,
-                                    const AltOptions& opts);
-AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
-                                   const std::vector<Alternative>& alts,
-                                   const AltOptions& opts);
-AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
-                                 const std::vector<Alternative>& alts,
-                                 const AltOptions& opts);
-}  // namespace internal
 
 AltOutcome run_alternatives(Runtime& rt, World& parent,
                             const std::vector<Alternative>& alts,

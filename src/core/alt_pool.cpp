@@ -1,80 +1,35 @@
-// kPool: alternative blocks as work-stealing tasks. See alt_pool.hpp for
-// the contract; the block-level semantics mirror alt_thread.cpp with three
-// structural changes — admission before any world is forked, alternatives
-// submitted as prioritized tasks instead of threads, and winner-side
-// revocation of queued siblings at the sync point.
-#include "core/alt_pool.hpp"
-
+// kPool: alternative blocks as work-stealing tasks; the contract is in
+// alt_block.hpp. The block lifecycle (guards, verdict, sync, commit,
+// settlement) is the shared one; this file owns what the scheduler adds —
+// admission before any world is forked, alternatives submitted as
+// prioritized tasks in the policy's plan order, winner-side revocation of
+// queued siblings at the sync point, the helping wait, and the
+// scrub-before-release teardown.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 
-#include "core/alt_context.hpp"
+#include "core/alt_block.hpp"
 #include "core/runtime.hpp"
 #include "core/spec_scheduler.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace mw {
 
 namespace internal {
 
-namespace {
-
-// How a spawned alternative's task ended. Extends the thread backend's
-// fates with the two never-ran terminals the scheduler introduces.
-enum class End {
-  kPending,
-  kSynced,
-  kAborted,
-  kCancelled,
-  kRevoked,  // pruned while queued: body never ran, zero pages copied
-  kFaulted,  // killed by sched.steal fault injection: body never ran
-};
-
-}  // namespace
-
 AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
                                  const std::vector<Alternative>& alts,
                                  const AltOptions& opts) {
-  const std::size_t n = alts.size();
-  AltOutcome out;
-  out.alts.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.alts[i].index = i + 1;
-    out.alts[i].name = alts[i].name;
-  }
-  if (n == 0) {
-    out.failed = true;
-    out.failure = AltFailure::kNoAlternatives;
-    return out;
-  }
-
-  SpecScheduler& sched = rt.scheduler();
-  const std::uint64_t group = rt.next_alt_group();
-  ProcessTable& table = rt.processes();
   Stopwatch block_clock;
-
-  std::vector<std::size_t> spawned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((opts.guard_phases & kGuardPreSpawn) && alts[i].guard &&
-        !alts[i].guard(parent)) {
-      continue;
-    }
-    spawned.push_back(i);
-    out.alts[i].spawned = true;
-  }
-  if (spawned.empty()) {
-    out.failed = true;
-    out.failure = AltFailure::kAllFailed;
-    return out;
-  }
+  AltOutcome out;
+  const auto [group, spawned] = begin_block(rt, parent, alts, opts, out);
+  if (spawned.empty()) return out;
+  const std::size_t n = alts.size();
   const std::size_t m = spawned.size();
+  SpecScheduler& sched = rt.scheduler();
+  ProcessTable& table = rt.processes();
 
   // Admission: fit the race inside the global speculation budget before a
   // single world exists. A rejected race spawns nothing — the block fails
@@ -93,45 +48,24 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   for (std::size_t i : spawned)
     sibling_pids.push_back(table.create(parent.pid(), group, alts[i].name));
 
-  MW_TRACE_EVENT(trace::EventKind::kAltBlockBegin, parent.pid(), kNoPid,
-                 group, m, 0);
-  Stopwatch setup_clock;
-  std::vector<World> worlds;
-  worlds.reserve(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    MW_TRACE_EVENT(trace::EventKind::kAltSpawn, sibling_pids[k], parent.pid(),
-                   group, spawned[k] + 1,
-                   static_cast<VTime>(block_clock.elapsed_us()));
-    worlds.push_back(parent.fork_alternative(sibling_pids[k], sibling_pids));
-    table.set_status(sibling_pids[k], ProcStatus::kRunning);
-  }
-  out.overhead.setup = static_cast<VDuration>(setup_clock.elapsed_us());
+  std::vector<World> worlds = spawn_worlds(table, parent, spawned,
+                                           sibling_pids, group, block_clock,
+                                           out);
 
-  // Heap-allocated and shared with every task closure, as in the thread
-  // backend: a task's trailing notify_all runs after blk->mu is released,
+  // Heap-allocated and shared with every task closure, as kThread's
+  // Block: a task's trailing notify_all runs after sync->mu is released,
   // so the parent — woken by a timed poll on the helping path, or a
   // spurious wakeup — can observe terminal == m and return first,
-  // destroying a stack block under the notifier. The sync state must own
-  // its own lifetime; everything else (worlds, results, cancels) is
+  // destroying a stack sync point under the notifier. The sync state must
+  // own its own lifetime; everything else (worlds, results, cancels) is
   // written strictly before the terminal count is published and may stay
   // on this frame.
-  struct Block {
-    std::mutex mu;
-    std::condition_variable cv;
-    // At-most-once sync arbiter, as in the thread backend. The parent waits
-    // on `synced`/`terminal`, published under the mutex.
-    std::atomic<int> race{-1};
-    int synced = -1;
-    std::size_t terminal = 0;  // done + revoked + faulted
-    std::vector<End> ends;
-  };
-  auto blk = std::make_shared<Block>();
-  blk->ends.assign(m, End::kPending);
+  auto sync = std::make_shared<SyncPoint>(m);
 
   std::vector<CancelToken> cancels(m);
   std::vector<Bytes> results(m);
   // Task handles, written by the submit loop and read by the winner's
-  // pruning pass — both under blk->mu (a task can win while later
+  // pruning pass — both under sync->mu (a task can win while later
   // siblings are still being submitted).
   std::vector<SchedTaskRef> tasks(m);
 
@@ -144,7 +78,7 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   auto prune_siblings = [&](std::size_t self) {
     std::vector<SchedTaskRef> snapshot;
     {
-      std::lock_guard<std::mutex> lk(blk->mu);
+      std::lock_guard<std::mutex> lk(sync->mu);
       snapshot = tasks;
     }
     for (std::size_t j = 0; j < m; ++j) {
@@ -183,48 +117,15 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   const bool virtual_bodies = sched.deterministic();
   for (const std::size_t k : submit_seq) {
     const std::size_t i = spawned[k];
-    auto body_fn = [&, blk, k, i] {
-      const Alternative& alt = alts[i];
+    auto body_fn = [&, sync, k, i] {
       World& child = worlds[k];
       AltContext ctx(child, i + 1, rt.rng_for(group, i + 1), &cancels[k],
                      virtual_bodies);
       MW_TRACE_EVENT(trace::EventKind::kAltChildBegin, sibling_pids[k],
                      kNoPid, group, 0,
                      static_cast<VTime>(block_clock.elapsed_us()));
-      End end = End::kAborted;
-      try {
-        bool success = true;
-        if ((opts.guard_phases & kGuardInChild) && alt.guard &&
-            !alt.guard(child)) {
-          success = false;
-        } else {
-          alt.body(ctx);
-        }
-        if (success && (opts.guard_phases & kGuardAtSync) && alt.guard &&
-            !alt.guard(child)) {
-          success = false;
-        }
-        if (success && alt.accept && !alt.accept(child)) success = false;
-        if (success) {
-          int expected = -1;
-          end = blk->race.compare_exchange_strong(expected,
-                                                  static_cast<int>(k))
-                    ? End::kSynced
-                    : End::kCancelled;  // lost the race: eliminated
-        }
-      } catch (const CancelledError&) {
-        end = End::kCancelled;
-      } catch (const AltFailed&) {
-        end = End::kAborted;
-      } catch (const AltHung&) {
-        end = End::kAborted;
-      } catch (const std::exception&) {
-        end = End::kAborted;
-      } catch (...) {
-        // Foreign exceptions (e.g. an injected crash) fail the alternative
-        // without taking down the pool worker executing it.
-        end = End::kAborted;
-      }
+      const End end =
+          sync->arbitrate(run_child(alts[i], child, ctx, opts.guard_phases), k);
       results[k] = ctx.result();
       MW_TRACE_EVENT(trace::EventKind::kAltChildEnd, sibling_pids[k], kNoPid,
                      group, child.space().table().stats().pages_copied,
@@ -237,28 +138,17 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
         // have copied zero pages, before the parent even wakes.
         prune_siblings(k);
       }
-      {
-        std::lock_guard<std::mutex> lk(blk->mu);
-        blk->ends[k] = end;
-        if (end == End::kSynced) blk->synced = static_cast<int>(k);
-        ++blk->terminal;
-      }
-      blk->cv.notify_all();
+      sync->publish(k, end);
     };
-    auto on_skipped = [blk, k](SchedTask& t) {
-      {
-        std::lock_guard<std::mutex> lk(blk->mu);
-        blk->ends[k] = t.faulted() ? End::kFaulted : End::kRevoked;
-        ++blk->terminal;
-      }
-      blk->cv.notify_all();
+    auto on_skipped = [sync, k](SchedTask& t) {
+      sync->publish(k, t.faulted() ? End::kFaulted : End::kRevoked);
     };
     SchedTaskRef task =
         sched.submit(std::move(body_fn), plan.priority[i], group,
                      sibling_pids[k], std::move(on_skipped), parent.pid(),
                      spawned[k] + 1);
     {
-      std::lock_guard<std::mutex> lk(blk->mu);
+      std::lock_guard<std::mutex> lk(sync->mu);
       tasks[k] = std::move(task);
     }
   }
@@ -274,7 +164,7 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   auto wait_for_pred = [&](auto pred, bool use_deadline) -> bool {
     for (;;) {
       {
-        std::unique_lock<std::mutex> lk(blk->mu);
+        std::unique_lock<std::mutex> lk(sync->mu);
         if (pred()) return true;
       }
       if (use_deadline && std::chrono::steady_clock::now() >= deadline)
@@ -284,32 +174,32 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
         if (sched.deterministic()) {
           // Single-threaded and nothing runnable: every task of this block
           // is terminal, so the predicate must hold now.
-          std::unique_lock<std::mutex> lk(blk->mu);
+          std::unique_lock<std::mutex> lk(sync->mu);
           MW_CHECK(pred());
           return true;
         }
-        std::unique_lock<std::mutex> lk(blk->mu);
-        blk->cv.wait_for(lk, std::chrono::microseconds(200), pred);
+        std::unique_lock<std::mutex> lk(sync->mu);
+        sync->cv.wait_for(lk, std::chrono::microseconds(200), pred);
       } else {
-        std::unique_lock<std::mutex> lk(blk->mu);
+        std::unique_lock<std::mutex> lk(sync->mu);
         if (use_deadline) {
-          if (!blk->cv.wait_until(lk, deadline, pred)) return false;
+          if (!sync->cv.wait_until(lk, deadline, pred)) return false;
         } else {
-          blk->cv.wait(lk, pred);
+          sync->cv.wait(lk, pred);
         }
         return true;
       }
     }
   };
 
-  auto decided = [&] { return blk->synced >= 0 || blk->terminal == m; };
-  auto all_terminal = [&] { return blk->terminal == m; };
+  auto decided = [&] { return sync->synced >= 0 || sync->terminal == m; };
+  auto all_terminal = [&] { return sync->terminal == m; };
 
   const bool decided_in_time = wait_for_pred(decided, bounded);
   int wk;
   {
-    std::lock_guard<std::mutex> lk(blk->mu);
-    wk = blk->synced;
+    std::lock_guard<std::mutex> lk(sync->mu);
+    wk = sync->synced;
   }
 
   if (!decided_in_time && wk < 0) {
@@ -318,8 +208,8 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     // its at-most-once win and is honoured below.
     prune_siblings(m);  // no winner: prune everyone
     wait_for_pred(all_terminal, false);
-    std::lock_guard<std::mutex> lk(blk->mu);
-    wk = blk->synced;
+    std::lock_guard<std::mutex> lk(sync->mu);
+    wk = sync->synced;
     if (wk < 0) {
       out.failed = true;
       out.failure = AltFailure::kTimeout;
@@ -337,25 +227,13 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     out.overhead.elimination = static_cast<VDuration>(elim_clock.elapsed_us());
 
     const auto wku = static_cast<std::size_t>(wk);
-    const std::size_t wi = spawned[wku];
-    out.winner = wi;
-    out.winner_name = alts[wi].name;
-    out.alts[wi].pages_copied =
-        worlds[wku].space().table().stats().pages_copied;
-
-    Stopwatch commit_clock;
-    table.set_status(sibling_pids[wku], ProcStatus::kSynced);
-    out.result = std::move(results[wku]);
-    parent.commit_from(std::move(worlds[wku]));
-    out.overhead.commit = static_cast<VDuration>(commit_clock.elapsed_us());
-    out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
+    commit_winner(table, parent, spawned[wku], sibling_pids[wku],
+                  worlds[wku], results[wku], out);
   } else if (decided_in_time) {
     out.failed = true;
     out.failure = AltFailure::kAllFailed;
-    out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
-  } else {
-    out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
   }
+  out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
 
   // The pool's equivalent of joining the threads: every task must be
   // terminal before the worlds vector leaves scope. Running losers unwind
@@ -363,51 +241,9 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   wait_for_pred(all_terminal, false);
 
   for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t i = spawned[k];
-    AltReport& rep = out.alts[i];
-    rep.pid = sibling_pids[k];
-    rep.success = static_cast<int>(k) == wk;
-    if (static_cast<int>(k) != wk)
-      rep.pages_copied = worlds[k].space().table().stats().pages_copied;
-    switch (blk->ends[k]) {
-      case End::kSynced:
-        rep.ran = true;
-        break;
-      case End::kAborted:
-        rep.ran = true;
-        table.set_status(sibling_pids[k], ProcStatus::kFailed);
-        MW_TRACE_EVENT(trace::EventKind::kAltAbort, sibling_pids[k], kNoPid,
-                       group, 0,
-                       static_cast<VTime>(block_clock.elapsed_us()));
-        break;
-      case End::kPending:
-      case End::kCancelled:
-        rep.ran = blk->ends[k] == End::kCancelled;
-        table.set_status(sibling_pids[k], ProcStatus::kEliminated);
-        MW_TRACE_EVENT(trace::EventKind::kAltEliminate, sibling_pids[k],
-                       kNoPid, group, 0,
-                       static_cast<VTime>(block_clock.elapsed_us()));
-        break;
-      case End::kRevoked:
-        rep.revoked = true;
-        table.set_status(sibling_pids[k], ProcStatus::kEliminated);
-        MW_TRACE_EVENT(trace::EventKind::kSchedRevoke, sibling_pids[k],
-                       kNoPid, group, rep.pages_copied,
-                       static_cast<VTime>(block_clock.elapsed_us()));
-        MW_TRACE_EVENT(trace::EventKind::kAltEliminate, sibling_pids[k],
-                       kNoPid, group, 0,
-                       static_cast<VTime>(block_clock.elapsed_us()));
-        break;
-      case End::kFaulted:
-        // Killed by an injected fault at the steal point: the sibling
-        // crashed before its body ran. Failed, not eliminated — a
-        // supervisor watching this pid must see a crash to recover.
-        table.set_status(sibling_pids[k], ProcStatus::kFailed);
-        MW_TRACE_EVENT(trace::EventKind::kAltAbort, sibling_pids[k], kNoPid,
-                       group, 0,
-                       static_cast<VTime>(block_clock.elapsed_us()));
-        break;
-    }
+    const bool won = static_cast<int>(k) == wk;
+    settle(out.alts[spawned[k]], sync->ends[k], won, sibling_pids[k],
+           won ? nullptr : &worlds[k], table, group, block_clock);
   }
   MW_TRACE_EVENT(trace::EventKind::kAltBlockEnd, parent.pid(), kNoPid, group,
                  static_cast<std::uint64_t>(out.failure),

@@ -13,6 +13,8 @@
 
 namespace mw {
 
+// The MAP_SHARED arbitration region. Lock-free atomics are process-shared
+// on every platform this library targets.
 struct PosixAltBlock::SharedRegion {
   std::atomic<int> winner;              // -1 until a child syncs
   std::atomic<std::uint32_t> published; // 0 until the winner's data landed
@@ -20,6 +22,8 @@ struct PosixAltBlock::SharedRegion {
   // absorbed bytes follow
   std::uint8_t* data() { return reinterpret_cast<std::uint8_t*>(this + 1); }
 };
+static_assert(std::atomic<int>::is_always_lock_free);
+static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
 
 PosixAltBlock::PosixAltBlock(std::size_t absorb_bytes)
     : capacity_(absorb_bytes) {
@@ -88,36 +92,60 @@ std::optional<int> PosixAltBlock::parent_wait(std::uint64_t timeout_us,
                                               bool synchronous_elimination) {
   MW_CHECK(my_index_ == 0);
   MW_CHECK(spawned_);
+  const std::optional<int> winner = await(timeout_us);
+  eliminate(winner.value_or(0), synchronous_elimination);
+  // Always reap remaining children before returning (no zombie leaks);
+  // under asynchronous elimination this is off the response path — the
+  // caller already has its answer.
+  reap();
+  return winner;
+}
 
+std::optional<int> PosixAltBlock::await(std::uint64_t timeout_us) {
   Stopwatch sw;
   std::size_t alive = kids_.size();
   int winner = -1;
   for (;;) {
     winner = shared_->winner.load(std::memory_order_acquire);
-    if (winner > 0) break;
-    if (alive == 0) break;
+    if (winner > 0 || alive == 0) break;
     if (timeout_us != 0 &&
         sw.elapsed_us() > static_cast<double>(timeout_us)) {
       break;
     }
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, WNOHANG);
-    if (reaped > 0) {
-      for (auto& k : kids_)
-        if (k == reaped) k = -1;
-      --alive;
-      continue;
+    bool reaped = false;
+    for (int& k : kids_) {
+      if (k > 0 && ::waitpid(k, nullptr, WNOHANG) == k) {
+        // A child that synchronized just before exiting counts as the
+        // winner on the next loop iteration.
+        k = -1;
+        --alive;
+        reaped = true;
+      }
     }
-    ::usleep(100);
+    if (!reaped) ::usleep(100);
   }
+  // Catch a child that won between the last poll and an exit we reaped.
   if (winner <= 0) winner = shared_->winner.load(std::memory_order_acquire);
+  if (winner <= 0) return std::nullopt;
 
-  // Eliminate the siblings (issue the kills; reap now or later per mode).
+  // Absorb the winner's state changes, the §2.2 page-pointer swap (here an
+  // explicit copy through the shared segment).
+  while (shared_->published.load(std::memory_order_acquire) == 0)
+    ::usleep(50);
+  if (absorb_data_ && shared_->len > 0) {
+    std::memcpy(absorb_data_, shared_->data(),
+                std::min<std::size_t>(shared_->len, absorb_len_));
+  }
+  return winner;
+}
+
+double PosixAltBlock::eliminate(int winner, bool synchronous) {
+  Stopwatch sw;
   for (std::size_t i = 0; i < kids_.size(); ++i) {
     if (kids_[i] > 0 && static_cast<int>(i + 1) != winner)
       ::kill(kids_[i], SIGKILL);
   }
-  if (synchronous_elimination) {
+  if (synchronous) {
     for (std::size_t i = 0; i < kids_.size(); ++i) {
       if (kids_[i] > 0 && static_cast<int>(i + 1) != winner) {
         ::waitpid(kids_[i], nullptr, 0);
@@ -125,29 +153,14 @@ std::optional<int> PosixAltBlock::parent_wait(std::uint64_t timeout_us,
       }
     }
   }
+  return sw.elapsed_sec();
+}
 
-  std::optional<int> result;
-  if (winner > 0) {
-    // Absorb the winner's state changes, the §2.2 page-pointer swap (here
-    // an explicit copy through the shared segment).
-    while (shared_->published.load(std::memory_order_acquire) == 0)
-      ::usleep(50);
-    if (absorb_data_ && shared_->len > 0) {
-      std::memcpy(absorb_data_, shared_->data(),
-                  std::min<std::size_t>(shared_->len, absorb_len_));
-    }
-    result = winner;
+void PosixAltBlock::reap() {
+  for (int& k : kids_) {
+    if (k > 0) ::waitpid(k, nullptr, 0);
+    k = -1;
   }
-  // Always reap remaining children before returning (no zombie leaks);
-  // under asynchronous elimination this is off the response path — the
-  // caller already has its answer in `result`.
-  for (std::size_t i = 0; i < kids_.size(); ++i) {
-    if (kids_[i] > 0) {
-      ::waitpid(kids_[i], nullptr, 0);
-      kids_[i] = -1;
-    }
-  }
-  return result;
 }
 
 }  // namespace mw

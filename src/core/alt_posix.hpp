@@ -23,11 +23,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 namespace mw {
+
+struct ForkAlternative;
+struct ForkOptions;
+struct ForkOutcome;
 
 class PosixAltBlock {
  public:
@@ -64,6 +67,22 @@ class PosixAltBlock {
                                  bool synchronous_elimination = false);
 
  private:
+  // run_alternatives_fork (core/fork_backend.hpp) drives the same block,
+  // timing the decision and the elimination separately.
+  friend ForkOutcome run_alternatives_fork(
+      const std::vector<ForkAlternative>& alts, const ForkOptions& opts);
+
+  /// Polls for a sync — per child pid, so no other child of the process is
+  /// reaped — until one wins, all have exited, or `timeout_us` (0 =
+  /// forever) elapses; then absorbs the winner's region. Returns the
+  /// winner, 1..n.
+  std::optional<int> await(std::uint64_t timeout_us);
+  /// SIGKILLs every sibling of `winner` (0: every child); synchronous
+  /// elimination also waits for each to die. Returns the seconds it took.
+  double eliminate(int winner, bool synchronous);
+  /// Reaps every child not reaped yet.
+  void reap();
+
   struct SharedRegion;
   SharedRegion* shared_ = nullptr;
   std::size_t shared_bytes_ = 0;

@@ -1,7 +1,8 @@
 // The wall-clock thread backend for alternative blocks: one OS thread per
-// alternative, at-most-once synchronization by CAS, cooperative
-// elimination. On a multi-core host this delivers real response-time wins;
-// semantics are identical to the virtual backend.
+// alternative around the shared block lifecycle (alt_block.hpp: verdict,
+// CAS sync point, commit, settlement), cooperative elimination. On a
+// multi-core host this delivers real response-time wins; semantics are
+// identical to the virtual backend.
 //
 // Elimination is cooperative, so a loser that never observes its cancel
 // token (a hang with no checkpoint) used to wedge the block forever in the
@@ -10,28 +11,19 @@
 // detached as stragglers (AltReport::straggler). Everything a detached
 // thread can still touch lives in a heap-allocated Block shared with each
 // thread — the block call can return while a straggler unwinds.
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 
-#include "core/alt.hpp"
-#include "core/alt_context.hpp"
+#include "core/alt_block.hpp"
 #include "core/runtime.hpp"
 #include "trace/trace.hpp"
-#include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace mw {
 
 namespace internal {
 
 namespace {
-
-enum class End { kPending, kSynced, kAborted, kCancelled };
 
 // Everything an alternative thread reads or writes after spawn. Heap
 // allocated and shared (parent + one ref per thread) so a detached
@@ -40,8 +32,7 @@ enum class End { kPending, kSynced, kAborted, kCancelled };
 // worlds, and pre-derived RNG streams; nothing of Runtime or the parent
 // World is reachable from a child thread.
 struct Block {
-  explicit Block(std::size_t m)
-      : cancels(m), results(m), ends(m, End::kPending) {}
+  explicit Block(std::size_t m) : cancels(m), results(m), sync(m) {}
 
   std::vector<Alternative> alts;       // the spawned subset, copied
   std::vector<std::size_t> alt_index;  // original 0-based index per entry
@@ -55,61 +46,18 @@ struct Block {
   Pid parent_pid = kNoPid;
   std::uint64_t group = 0;
   Stopwatch clock;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  // CAS arbiter for the at-most-once sync (§2.2.1). The parent never
-  // reads this directly; it waits for `synced`, which the winning thread
-  // publishes under the mutex *after* its results are in place.
-  std::atomic<int> race{-1};
-  int synced = -1;
-  std::size_t done = 0;
-  std::vector<End> ends;  // ends[k] != kPending <=> thread k published
+  SyncPoint sync;  // sync.ends[k] != kPending <=> thread k published
 };
 
 void run_alternative(const std::shared_ptr<Block>& blk, std::size_t k) {
-  const Alternative& alt = blk->alts[k];
   World& child = blk->worlds[k];
   AltContext ctx(child, blk->alt_index[k] + 1, blk->rngs[k],
                  &blk->cancels[k], /*virtual_mode=*/false);
   MW_TRACE_EVENT(trace::EventKind::kAltChildBegin, blk->pids[k], kNoPid,
                  blk->group, 0,
                  static_cast<VTime>(blk->clock.elapsed_us()));
-  End end = End::kAborted;
-  try {
-    bool success = true;
-    if ((blk->guard_phases & kGuardInChild) && alt.guard &&
-        !alt.guard(child)) {
-      success = false;
-    } else {
-      alt.body(ctx);
-    }
-    if (success && (blk->guard_phases & kGuardAtSync) && alt.guard &&
-        !alt.guard(child)) {
-      success = false;
-    }
-    if (success && alt.accept && !alt.accept(child)) success = false;
-    if (success) {
-      int expected = -1;
-      end = blk->race.compare_exchange_strong(expected, static_cast<int>(k))
-                ? End::kSynced
-                : End::kCancelled;  // lost the race: eliminated
-    }
-  } catch (const CancelledError&) {
-    end = End::kCancelled;
-  } catch (const AltFailed&) {
-    end = End::kAborted;
-  } catch (const AltHung&) {
-    // Only reachable if hang() degrades (no cancel token); treat as a
-    // plain abort so the block can still decide.
-    end = End::kAborted;
-  } catch (const std::exception&) {
-    end = End::kAborted;
-  } catch (...) {
-    // Foreign exceptions (e.g. an injected crash) terminate the child
-    // as Failed instead of calling std::terminate on the whole block.
-    end = End::kAborted;
-  }
+  const End end = blk->sync.arbitrate(
+      run_child(blk->alts[k], child, ctx, blk->guard_phases), k);
   blk->results[k] = ctx.result();
   MW_TRACE_EVENT(trace::EventKind::kAltChildEnd, blk->pids[k], kNoPid,
                  blk->group, child.space().table().stats().pages_copied,
@@ -118,13 +66,7 @@ void run_alternative(const std::shared_ptr<Block>& blk, std::size_t k) {
     MW_TRACE_EVENT(trace::EventKind::kAltSync, blk->pids[k], blk->parent_pid,
                    blk->group, 0,
                    static_cast<VTime>(blk->clock.elapsed_us()));
-  {
-    std::lock_guard<std::mutex> lk(blk->mu);
-    blk->ends[k] = end;
-    if (end == End::kSynced) blk->synced = static_cast<int>(k);
-    ++blk->done;
-  }
-  blk->cv.notify_all();
+  blk->sync.publish(k, end);
 }
 
 }  // namespace
@@ -132,36 +74,10 @@ void run_alternative(const std::shared_ptr<Block>& blk, std::size_t k) {
 AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
                                    const std::vector<Alternative>& alts,
                                    const AltOptions& opts) {
-  const std::size_t n = alts.size();
   AltOutcome out;
-  out.alts.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.alts[i].index = i + 1;
-    out.alts[i].name = alts[i].name;
-  }
-  if (n == 0) {
-    out.failed = true;
-    out.failure = AltFailure::kNoAlternatives;
-    return out;
-  }
-
-  const std::uint64_t group = rt.next_alt_group();
+  const auto [group, spawned] = begin_block(rt, parent, alts, opts, out);
+  if (spawned.empty()) return out;
   ProcessTable& table = rt.processes();
-
-  std::vector<std::size_t> spawned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((opts.guard_phases & kGuardPreSpawn) && alts[i].guard &&
-        !alts[i].guard(parent)) {
-      continue;
-    }
-    spawned.push_back(i);
-    out.alts[i].spawned = true;
-  }
-  if (spawned.empty()) {
-    out.failed = true;
-    out.failure = AltFailure::kAllFailed;
-    return out;
-  }
   const std::size_t m = spawned.size();
 
   auto blk = std::make_shared<Block>(m);
@@ -176,26 +92,29 @@ AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
     blk->rngs.push_back(rt.rng_for(group, i + 1));
     blk->pids.push_back(table.create(parent.pid(), group, alts[i].name));
   }
+  SyncPoint& sync = blk->sync;
 
   // Spawn: fork the worlds up front (serial, charged as setup), then start
   // one thread per alternative; the OS plays the role of the processors.
-  MW_TRACE_EVENT(trace::EventKind::kAltBlockBegin, parent.pid(), kNoPid,
-                 group, m, 0);
-  Stopwatch setup_clock;
-  blk->worlds.reserve(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    MW_TRACE_EVENT(trace::EventKind::kAltSpawn, blk->pids[k], parent.pid(),
-                   group, spawned[k] + 1,
-                   static_cast<VTime>(blk->clock.elapsed_us()));
-    blk->worlds.push_back(parent.fork_alternative(blk->pids[k], blk->pids));
-    table.set_status(blk->pids[k], ProcStatus::kRunning);
-  }
-  out.overhead.setup = static_cast<VDuration>(setup_clock.elapsed_us());
+  blk->worlds = spawn_worlds(table, parent, spawned, blk->pids, group,
+                             blk->clock, out);
 
   std::vector<std::thread> threads;
   threads.reserve(m);
   for (std::size_t k = 0; k < m; ++k)
     threads.emplace_back([blk, k] { run_alternative(blk, k); });
+
+  // Blocks on the sync point until `pred` holds or `us` microseconds pass
+  // (kVTimeMax: forever).
+  auto wait = [&](auto pred, VDuration us) {
+    std::unique_lock<std::mutex> lk(sync.mu);
+    if (us == kVTimeMax) {
+      sync.cv.wait(lk, pred);
+    } else {
+      sync.cv.wait_for(lk, std::chrono::microseconds(us), pred);
+    }
+  };
+  auto all_done = [&] { return sync.terminal == m; };
 
   // Bounded join: wait for every thread to publish its end, up to the reap
   // deadline; whoever has published joins instantly, whoever has not is
@@ -205,23 +124,13 @@ AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
     bool outstanding = false;
     for (auto& t : threads) outstanding = outstanding || t.joinable();
     if (!outstanding) return;  // already reaped (e.g. the timeout path)
-    {
-      std::unique_lock<std::mutex> lk(blk->mu);
-      auto all_done = [&] { return blk->done == m; };
-      if (opts.reap_deadline == kVTimeMax) {
-        blk->cv.wait(lk, all_done);
-      } else {
-        blk->cv.wait_for(lk,
-                         std::chrono::microseconds(opts.reap_deadline),
-                         all_done);
-      }
-    }
+    wait(all_done, opts.reap_deadline);
     for (std::size_t k = 0; k < m; ++k) {
       if (!threads[k].joinable()) continue;
       bool published;
       {
-        std::lock_guard<std::mutex> lk(blk->mu);
-        published = blk->ends[k] != End::kPending;
+        std::lock_guard<std::mutex> lk(sync.mu);
+        published = sync.ends[k] != End::kPending;
       }
       if (published) {
         threads[k].join();
@@ -236,27 +145,22 @@ AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
   // ends, or the timeout elapses.
   MW_TRACE_EVENT(trace::EventKind::kAltWait, parent.pid(), kNoPid, group, 0,
                  static_cast<VTime>(blk->clock.elapsed_us()));
-  int wk = -1;
-  bool all_done = false;
+  wait([&] { return sync.synced >= 0 || sync.terminal == m; }, opts.timeout);
+  int wk;
+  bool decided;
   {
-    std::unique_lock<std::mutex> lk(blk->mu);
-    auto decided = [&] { return blk->synced >= 0 || blk->done == m; };
-    if (opts.timeout == kVTimeMax) {
-      blk->cv.wait(lk, decided);
-    } else {
-      blk->cv.wait_for(lk, std::chrono::microseconds(opts.timeout), decided);
-    }
-    wk = blk->synced;
-    all_done = blk->done == m;
+    std::lock_guard<std::mutex> lk(sync.mu);
+    wk = sync.synced;
+    decided = wk >= 0 || sync.terminal == m;
   }
 
-  if (wk < 0 && !all_done) {
+  if (!decided) {
     // Timeout. Cancel everyone and reap; if a child synchronized while the
     // timeout fired, the at-most-once sync stands and it is honoured.
     for (auto& c : blk->cancels) c.request();
     reap();
-    std::lock_guard<std::mutex> lk(blk->mu);
-    wk = blk->synced;
+    std::lock_guard<std::mutex> lk(sync.mu);
+    wk = sync.synced;
     if (wk < 0) {
       out.failed = true;
       out.failure = AltFailure::kTimeout;
@@ -271,39 +175,18 @@ AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
     Stopwatch elim_clock;
     for (std::size_t k = 0; k < m; ++k)
       if (static_cast<int>(k) != wk) blk->cancels[k].request();
-    if (opts.elimination == Elimination::kSynchronous) {
-      std::unique_lock<std::mutex> lk(blk->mu);
-      auto drained = [&] { return blk->done == m; };
-      if (opts.reap_deadline == kVTimeMax) {
-        blk->cv.wait(lk, drained);
-      } else {
-        blk->cv.wait_for(lk,
-                         std::chrono::microseconds(opts.reap_deadline),
-                         drained);
-      }
-    }
+    if (opts.elimination == Elimination::kSynchronous)
+      wait(all_done, opts.reap_deadline);
     out.overhead.elimination = static_cast<VDuration>(elim_clock.elapsed_us());
 
     const auto wku = static_cast<std::size_t>(wk);
-    const std::size_t wi = spawned[wku];
-    out.winner = wi;
-    out.winner_name = alts[wi].name;
-    out.alts[wi].pages_copied =
-        blk->worlds[wku].space().table().stats().pages_copied;
-
-    Stopwatch commit_clock;
-    table.set_status(blk->pids[wku], ProcStatus::kSynced);
-    out.result = std::move(blk->results[wku]);
-    parent.commit_from(std::move(blk->worlds[wku]));
-    out.overhead.commit = static_cast<VDuration>(commit_clock.elapsed_us());
-    out.elapsed = static_cast<VDuration>(blk->clock.elapsed_us());
-  } else if (all_done) {
+    commit_winner(table, parent, spawned[wku], blk->pids[wku],
+                  blk->worlds[wku], blk->results[wku], out);
+  } else if (decided) {
     out.failed = true;
     out.failure = AltFailure::kAllFailed;
-    out.elapsed = static_cast<VDuration>(blk->clock.elapsed_us());
-  } else {
-    out.elapsed = static_cast<VDuration>(blk->clock.elapsed_us());
   }
+  out.elapsed = static_cast<VDuration>(blk->clock.elapsed_us());
 
   // Reap whatever is still out. Under asynchronous elimination the response
   // time was already recorded; this bounded join is the throughput cost the
@@ -311,38 +194,19 @@ AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
   reap();
 
   for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t i = spawned[k];
-    AltReport& rep = out.alts[i];
-    rep.pid = blk->pids[k];
-    rep.ran = true;
+    AltReport& rep = out.alts[spawned[k]];
     rep.straggler = straggler[k];
-    // A straggler's world is still being written by its detached thread;
-    // its page counters are not sampled (left 0).
-    if (static_cast<int>(k) != wk && !straggler[k])
-      rep.pages_copied = blk->worlds[k].space().table().stats().pages_copied;
-    rep.success = static_cast<int>(k) == wk;
     End end;
     {
-      std::lock_guard<std::mutex> lk(blk->mu);
-      end = blk->ends[k];
+      std::lock_guard<std::mutex> lk(sync.mu);
+      end = sync.ends[k];
     }
-    switch (end) {
-      case End::kSynced:
-        break;  // already kSynced (or eliminated, if it raced a timeout)
-      case End::kAborted:
-        table.set_status(blk->pids[k], ProcStatus::kFailed);
-        MW_TRACE_EVENT(trace::EventKind::kAltAbort, blk->pids[k], kNoPid,
-                       group, 0,
-                       static_cast<VTime>(blk->clock.elapsed_us()));
-        break;
-      case End::kPending:
-      case End::kCancelled:
-        table.set_status(blk->pids[k], ProcStatus::kEliminated);
-        MW_TRACE_EVENT(trace::EventKind::kAltEliminate, blk->pids[k],
-                       kNoPid, group, 0,
-                       static_cast<VTime>(blk->clock.elapsed_us()));
-        break;
-    }
+    // A straggler's world is still being written by its detached thread;
+    // its page counters are not sampled (left 0).
+    const bool won = static_cast<int>(k) == wk;
+    settle(rep, end, won, blk->pids[k],
+           won || straggler[k] ? nullptr : &blk->worlds[k], table, group,
+           blk->clock);
   }
   MW_TRACE_EVENT(trace::EventKind::kAltBlockEnd, parent.pid(), kNoPid, group,
                  static_cast<std::uint64_t>(out.failure),

@@ -6,11 +6,9 @@
 // overhead model (proc/cost_model) charges spawn, COW-copy, commit and
 // elimination costs exactly where the paper's τ(overhead) analysis puts
 // them. The result is bit-reproducible on any host.
-#include <exception>
 #include <utility>
 
-#include "core/alt.hpp"
-#include "core/alt_context.hpp"
+#include "core/alt_block.hpp"
 #include "core/runtime.hpp"
 #include "proc/vsched.hpp"
 #include "trace/trace.hpp"
@@ -23,40 +21,12 @@ namespace internal {
 AltOutcome run_alternatives_virtual(Runtime& rt, World& parent,
                                     const std::vector<Alternative>& alts,
                                     const AltOptions& opts) {
-  const std::size_t n = alts.size();
   AltOutcome out;
-  out.alts.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.alts[i].index = i + 1;
-    out.alts[i].name = alts[i].name;
-  }
-  if (n == 0) {
-    out.failed = true;
-    out.failure = AltFailure::kNoAlternatives;
-    return out;
-  }
+  const auto [group, spawned] = begin_block(rt, parent, alts, opts, out);
+  if (spawned.empty()) return out;
 
   const CostModel& cost = rt.config().cost;
-  const std::uint64_t group = rt.next_alt_group();
   ProcessTable& table = rt.processes();
-
-  // Phase 0: optional serial guard evaluation in the parent (§2.2 —
-  // improves throughput at the expense of response time: rejected
-  // alternatives are never spawned, but the checks serialize).
-  std::vector<std::size_t> spawned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((opts.guard_phases & kGuardPreSpawn) && alts[i].guard &&
-        !alts[i].guard(parent)) {
-      continue;
-    }
-    spawned.push_back(i);
-    out.alts[i].spawned = true;
-  }
-  if (spawned.empty()) {
-    out.failed = true;
-    out.failure = AltFailure::kAllFailed;
-    return out;
-  }
 
   // Phase 1: spawn. Fork costs are serial in the parent; child i becomes
   // ready only after the parent has forked children 0..i.
@@ -96,40 +66,12 @@ AltOutcome run_alternatives_virtual(Runtime& rt, World& parent,
     table.set_status(sibling_pids[k], ProcStatus::kRunning);
     AltContext ctx(child, i + 1, rt.rng_for(group, i + 1), nullptr,
                    /*virtual_mode=*/true);
-    bool success = true;
-    bool hung = false;
-    if ((opts.guard_phases & kGuardInChild) && alt.guard &&
-        !alt.guard(child)) {
-      success = false;
-    } else {
-      try {
-        alt.body(ctx);
-      } catch (const AltFailed&) {
-        success = false;
-      } catch (const AltHung&) {
-        // The body declared it will never finish: modelled below as a task
-        // that outlives the block's deadline.
-        success = false;
-        hung = true;
-      } catch (const std::exception&) {
-        success = false;
-      } catch (...) {
-        // Foreign exceptions (e.g. an injected crash) must not escape the
-        // block: the child is simply Failed.
-        success = false;
-      }
-    }
-    if (success && (opts.guard_phases & kGuardAtSync) && alt.guard &&
-        !alt.guard(child)) {
-      success = false;
-    }
-    if (success && alt.accept && !alt.accept(child)) success = false;
-
+    const Verdict v = run_child(alt, child, ctx, opts.guard_phases);
     const std::uint64_t copied = child.space().table().stats().pages_copied;
     Ran r{std::move(child), ctx.result(),
           ctx.accounted_work() +
               cost.cow_copy_per_page * static_cast<VDuration>(copied),
-          success, hung, copied};
+          v == Verdict::kSuccess, v == Verdict::kHung, copied};
     out.alts[i].pages_copied = copied;
     out.overhead.copying +=
         cost.cow_copy_per_page * static_cast<VDuration>(copied);

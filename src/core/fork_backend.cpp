@@ -4,27 +4,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <csignal>
 #include <cstring>
 
+#include "core/alt_posix.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mw {
 
 namespace {
-
-/// Header of the MAP_SHARED arbitration region. Lock-free atomics are
-/// process-shared on every platform this library targets.
-struct SharedSlot {
-  std::atomic<int> winner;
-  std::atomic<std::uint32_t> result_len;  // 0 until the winner publishes
-  // result bytes follow
-};
-static_assert(std::atomic<int>::is_always_lock_free);
-static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
 
 void* map_shared(std::size_t bytes) {
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -40,108 +30,49 @@ ForkOutcome run_alternatives_fork(const std::vector<ForkAlternative>& alts,
   ForkOutcome out;
   if (alts.empty()) return out;
 
-  const std::size_t region_bytes = sizeof(SharedSlot) + opts.result_bytes;
-  auto* slot = static_cast<SharedSlot*>(map_shared(region_bytes));
-  new (&slot->winner) std::atomic<int>(-1);
-  new (&slot->result_len) std::atomic<std::uint32_t>(0);
-  auto* result_buf = reinterpret_cast<std::uint8_t*>(slot + 1);
+  // The absorbed region carries the winner's result: a length word, then
+  // up to result_bytes of data.
+  std::vector<std::uint8_t> region(sizeof(std::uint32_t) + opts.result_bytes);
+  PosixAltBlock block(region.size());
+  block.absorb(region.data(), region.size());
 
   Stopwatch block_clock;
-  std::vector<pid_t> kids(alts.size(), -1);
-  for (std::size_t i = 0; i < alts.size(); ++i) {
-    const pid_t pid = ::fork();
-    MW_CHECK(pid >= 0);
-    if (pid == 0) {
-      // Child: the OS gave us a COW copy of the entire parent address
-      // space — the paper's world fork, for free.
-      std::vector<std::uint8_t> result;
-      bool success = false;
-      try {
-        success = alts[i].body(result);
-      } catch (...) {
-        success = false;
-      }
-      if (success) {
-        int expected = -1;
-        if (slot->winner.compare_exchange_strong(expected,
-                                                 static_cast<int>(i))) {
-          const std::size_t n = std::min(result.size(), opts.result_bytes);
-          std::memcpy(result_buf, result.data(), n);
-          slot->result_len.store(static_cast<std::uint32_t>(n) + 1,
-                                 std::memory_order_release);
-        }
-      }
-      ::_exit(success ? 0 : 1);
+  const int me = block.alt_spawn(static_cast<int>(alts.size()));
+  if (me > 0) {
+    // Child: the OS gave us a COW copy of the entire parent address space
+    // — the paper's world fork, for free.
+    std::vector<std::uint8_t> result;
+    bool success = false;
+    try {
+      success = alts[static_cast<std::size_t>(me - 1)].body(result);
+    } catch (...) {
+      success = false;
     }
-    kids[i] = pid;
+    if (!success) block.child_abort();
+    const auto len = static_cast<std::uint32_t>(
+        std::min(result.size(), opts.result_bytes));
+    std::memcpy(region.data(), &len, sizeof len);
+    std::memcpy(region.data() + sizeof len, result.data(), len);
+    block.child_sync();
   }
 
-  // alt_wait: poll for a winner, reap aborted children, enforce timeout.
-  std::size_t alive = alts.size();
-  Stopwatch wait_clock;
-  int winner = -1;
-  for (;;) {
-    winner = slot->winner.load(std::memory_order_acquire);
-    if (winner >= 0) break;
-    if (alive == 0) break;  // everyone aborted
-    if (opts.timeout_us != 0 &&
-        wait_clock.elapsed_us() > static_cast<double>(opts.timeout_us)) {
-      break;
-    }
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, WNOHANG);
-    if (reaped > 0) {
-      for (auto& k : kids) {
-        if (k == reaped) k = -1;
-      }
-      --alive;
-      // A child that synchronized just before exiting counts as a winner
-      // on the next loop iteration.
-      continue;
-    }
-    ::usleep(100);
-  }
-  // Catch a child that won between the last poll and an exit we reaped.
-  if (winner < 0) winner = slot->winner.load(std::memory_order_acquire);
-
-  Stopwatch elim_clock;
-  if (winner >= 0) {
-    // Wait for the winner's publication and exit, then collect the result.
-    while (slot->result_len.load(std::memory_order_acquire) == 0) ::usleep(50);
+  const std::optional<int> winner = block.await(opts.timeout_us);
+  if (winner) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, region.data(), sizeof len);
+    const std::uint8_t* data = region.data() + sizeof len;
     out.failed = false;
-    out.winner = static_cast<std::size_t>(winner);
-    const std::uint32_t len =
-        slot->result_len.load(std::memory_order_acquire) - 1;
-    out.result.assign(result_buf, result_buf + len);
-  } else {
-    out.failed = true;
+    out.winner = static_cast<std::size_t>(*winner - 1);
+    out.result.assign(data, data + len);
   }
   out.elapsed_sec = block_clock.elapsed_sec();
 
-  // Sibling elimination: SIGKILL the survivors. Synchronous mode waits for
-  // each termination before the measurement point; asynchronous issues the
-  // kills, records the time, and reaps afterwards (zombies are still
-  // collected before returning — the reap is off the response path).
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    if (kids[i] > 0 && static_cast<int>(i) != winner) ::kill(kids[i], SIGKILL);
-  }
-  if (opts.synchronous_elimination) {
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      if (kids[i] > 0 && static_cast<int>(i) != winner)
-        ::waitpid(kids[i], nullptr, 0);
-    }
-    out.elimination_sec = elim_clock.elapsed_sec();
-  } else {
-    out.elimination_sec = elim_clock.elapsed_sec();
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      if (kids[i] > 0 && static_cast<int>(i) != winner)
-        ::waitpid(kids[i], nullptr, 0);
-    }
-  }
-  if (winner >= 0 && kids[static_cast<std::size_t>(winner)] > 0)
-    ::waitpid(kids[static_cast<std::size_t>(winner)], nullptr, 0);
-
-  ::munmap(slot, region_bytes);
+  // Synchronous elimination waits for each loser's termination before the
+  // measurement point; asynchronous issues the kills and reaps afterwards,
+  // off the response path.
+  out.elimination_sec =
+      block.eliminate(winner.value_or(0), opts.synchronous_elimination);
+  block.reap();
   return out;
 }
 

@@ -43,8 +43,9 @@ struct ForkOutcome {
   double elimination_sec = 0.0;  // time spent eliminating siblings
 };
 
-/// Runs the block with real processes. Not reentrant from multiple threads
-/// (uses waitpid on its own children).
+/// Runs the block with real processes, on top of PosixAltBlock
+/// (core/alt_posix.hpp). Not reentrant from multiple threads (uses waitpid
+/// on its own children).
 ForkOutcome run_alternatives_fork(const std::vector<ForkAlternative>& alts,
                                   const ForkOptions& opts = {});
 

@@ -1,12 +1,24 @@
 #include "rb/recovery_block.hpp"
 
-#include <exception>
-
+#include "core/alt_block.hpp"
+#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
-#include "util/check.hpp"
-
 namespace mw {
+
+RecoveryBlock& RecoveryBlock::ensure_by(std::string name,
+                                        std::function<void(AltContext&)> body) {
+  // Every alternate declares a named fault point before its body: the
+  // injector can fail, crash or hang any specific alternate of any block.
+  auto wrapped = [point = "rb." + name_ + "." + name,
+                  inner = std::move(body)](AltContext& ctx) {
+    ctx.fault_point(point);
+    inner(ctx);
+  };
+  alternates_.push_back(
+      Alternative{std::move(name), nullptr, std::move(wrapped), acceptance_});
+  return *this;
+}
 
 RbResult RecoveryBlock::run_sequential(Runtime& rt, World& world) const {
   RbResult out;
@@ -14,7 +26,7 @@ RbResult RecoveryBlock::run_sequential(Runtime& rt, World& world) const {
   const bool virtual_mode = rt.config().backend == AltBackend::kVirtual;
 
   for (std::size_t i = 0; i < alternates_.size(); ++i) {
-    const Alternate& alt = alternates_[i];
+    const Alternative& alt = alternates_[i];
     // Each alternate is guaranteed the same initial state: a fresh COW
     // child of the (unmodified) parent world.
     const std::uint64_t group = rt.next_alt_group();
@@ -25,23 +37,12 @@ RbResult RecoveryBlock::run_sequential(Runtime& rt, World& world) const {
 
     AltContext ctx(child, i + 1, rt.rng_for(group, i + 1), nullptr,
                    virtual_mode);
-    bool ok = true;
     Stopwatch wall;
-    try {
-      ctx.fault_point("rb." + name_ + "." + alt.name);
-      alt.body(ctx);
-    } catch (const AltFailed&) {
-      ok = false;
-    } catch (const AltHung&) {
-      // Sequential standby-spares has no concurrent deadline; a hung
-      // alternate is detected (by a watchdog the model does not charge
-      // for) and treated as a failed spare.
-      ok = false;
-    } catch (const std::exception&) {
-      ok = false;
-    } catch (...) {
-      ok = false;  // injected crash or other foreign exception
-    }
+    // Sequential standby-spares has no concurrent deadline: a hung
+    // alternate is detected (by a watchdog the model does not charge for)
+    // and, like a crash or a rejection, counts as a failed spare.
+    const bool ok = internal::run_child(alt, child, ctx, kGuardInChild) ==
+                    internal::Verdict::kSuccess;
     const std::uint64_t copied = child.space().table().stats().pages_copied;
     out.elapsed += virtual_mode
                        ? ctx.accounted_work() +
@@ -49,7 +50,6 @@ RbResult RecoveryBlock::run_sequential(Runtime& rt, World& world) const {
                                  static_cast<VDuration>(copied)
                        : static_cast<VDuration>(wall.elapsed_us());
 
-    if (ok && acceptance_ && !acceptance_(child)) ok = false;
     if (ok) {
       const std::size_t changed =
           child.space().table().diff(world.space().table()).size();
@@ -71,19 +71,7 @@ RbResult RecoveryBlock::run_sequential(Runtime& rt, World& world) const {
 RbResult RecoveryBlock::run_concurrent(Runtime& rt, World& world,
                                        const AltOptions& opts) const {
   RbResult out;
-  std::vector<Alternative> alts;
-  alts.reserve(alternates_.size());
-  for (const Alternate& a : alternates_) {
-    // Every alternate declares a named fault point before its body: the
-    // injector can fail, crash or hang any specific alternate of any block.
-    auto body = [point = "rb." + name_ + "." + a.name,
-                 inner = a.body](AltContext& ctx) {
-      ctx.fault_point(point);
-      inner(ctx);
-    };
-    alts.push_back(Alternative{a.name, nullptr, std::move(body), acceptance_});
-  }
-  AltOutcome ao = run_alternatives(rt, world, alts, opts);
+  AltOutcome ao = run_alternatives(rt, world, alternates_, opts);
   out.elapsed = ao.elapsed;
   out.succeeded = !ao.failed;
   if (ao.winner.has_value()) {

@@ -48,10 +48,7 @@ class RecoveryBlock {
 
   /// Adds an alternate; the first added is the primary.
   RecoveryBlock& ensure_by(std::string name,
-                           std::function<void(AltContext&)> body) {
-    alternates_.push_back({std::move(name), std::move(body)});
-    return *this;
-  }
+                           std::function<void(AltContext&)> body);
 
   std::size_t alternate_count() const { return alternates_.size(); }
   const std::string& name() const { return name_; }
@@ -66,14 +63,11 @@ class RecoveryBlock {
                           const AltOptions& opts = {}) const;
 
  private:
-  struct Alternate {
-    std::string name;
-    std::function<void(AltContext&)> body;
-  };
-
   std::string name_;
   std::function<bool(const World&)> acceptance_;
-  std::vector<Alternate> alternates_;
+  /// Both strategies run the same list: each body declares its fault point
+  /// first, and the ensure-clause is its acceptance test.
+  std::vector<Alternative> alternates_;
 };
 
 /// Deterministic fault injection for testing and benches: decides whether

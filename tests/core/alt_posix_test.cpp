@@ -1,5 +1,6 @@
 #include "core/alt_posix.hpp"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,36 @@ TEST(PosixAlt, SynchronousEliminationAlsoWorks) {
       ::usleep(20'000'000);
       block.child_sync();
   }
+}
+
+TEST(PosixAlt, LeavesUnrelatedChildrenAlone) {
+  // A zombie the block did not fork must neither count as one of its
+  // children nor lose its exit status to the block's reaping.
+  const pid_t other = ::fork();
+  ASSERT_GE(other, 0);
+  if (other == 0) ::_exit(7);
+  ::usleep(20'000);  // let it exit and become a zombie
+
+  int result = 0;
+  PosixAltBlock block;
+  block.absorb(&result, sizeof result);
+  switch (block.alt_spawn(1)) {
+    case 0: {
+      const auto winner = block.parent_wait(/*timeout_us=*/5'000'000);
+      ASSERT_TRUE(winner.has_value());
+      EXPECT_EQ(*winner, 1);
+      EXPECT_EQ(result, 5);
+      break;
+    }
+    case 1:
+      ::usleep(100'000);
+      result = 5;
+      block.child_sync();
+  }
+  int st = 0;
+  ASSERT_EQ(::waitpid(other, &st, 0), other);
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 7);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/fork_backend.hpp"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -103,6 +104,28 @@ TEST(ForkBackend, SynchronousEliminationAlsoWins) {
   EXPECT_FALSE(out.failed);
   EXPECT_EQ(out.winner, 0u);
   EXPECT_LT(out.elapsed_sec, 5.0);
+}
+
+TEST(ForkBackend, LeavesUnrelatedChildrenAlone) {
+  // A zombie the block did not fork must neither count as one of its
+  // children nor lose its exit status to the block's reaping.
+  const pid_t other = ::fork();
+  ASSERT_GE(other, 0);
+  if (other == 0) ::_exit(7);
+  ::usleep(20'000);  // let it exit and become a zombie
+
+  auto out = run_alternatives_fork(
+      {ForkAlternative{"slow", [](std::vector<std::uint8_t>& r) {
+                         ::usleep(100'000);
+                         r = {3};
+                         return true;
+                       }}});
+  EXPECT_FALSE(out.failed);
+  EXPECT_EQ(out.winner, 0u);
+  int st = 0;
+  ASSERT_EQ(::waitpid(other, &st, 0), other);
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 7);
 }
 
 TEST(ForkBackend, MeasureForkLatencyIsPositive) {

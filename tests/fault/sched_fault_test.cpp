@@ -230,7 +230,7 @@ TEST(SchedFault, AdaptiveFaultScheduleReplaysPerSeed) {
       fp += '/';
     }
     fp += "fires=" + std::to_string(inj.fires("sched.steal"));
-    fp += " digest=" + inj.schedule_digest();
+    fp += " digest=" + std::to_string(inj.schedule_digest());
     return fp;
   };
   const std::uint64_t base = []() {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace mw {
 namespace {
 
@@ -94,6 +96,21 @@ TEST_F(RecoveryBlockTest, TotalFailureLeavesWorldUntouched) {
   rb.ensure_by("bad1", buggy_sqrt());
   rb.ensure_by("bad2", crashing_sqrt());
   auto r = rb.run_sequential(rt_, world_);
+  EXPECT_FALSE(r.succeeded);
+  EXPECT_EQ(r.rejected, 2);
+  EXPECT_EQ(world_.space().load<std::int64_t>(8), 0);  // untouched
+}
+
+TEST_F(RecoveryBlockTest, ThrowingAcceptanceRejectsEveryAlternateSequential) {
+  // An ensure-clause that throws rejects the candidate like one that says
+  // no: the spare is tried, and the block fails without throwing.
+  RecoveryBlock rb("isqrt", [](const World&) -> bool {
+    throw std::runtime_error("accept blew up");
+  });
+  rb.ensure_by("primary", good_sqrt());
+  rb.ensure_by("spare", good_sqrt());
+  RbResult r;
+  ASSERT_NO_THROW(r = rb.run_sequential(rt_, world_));
   EXPECT_FALSE(r.succeeded);
   EXPECT_EQ(r.rejected, 2);
   EXPECT_EQ(world_.space().load<std::int64_t>(8), 0);  // untouched
