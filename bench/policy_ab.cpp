@@ -169,8 +169,6 @@ Cell run_race_cell(PolicyMode mode, Shape shape, std::size_t races,
     trace::reset();
     trace::Scope traced(true);
     World parent = rt.make_root("ab");
-    AltOptions opts;
-    opts.reap_deadline = 2'000'000;
     Rng script(seed ^ 0x5ab5ab);  // same winner sequence every rep and mode
     std::vector<double> lat;
     lat.reserve(races);
@@ -178,7 +176,7 @@ Cell run_race_cell(PolicyMode mode, Shape shape, std::size_t races,
       const std::size_t w = winner_at(shape, r, alts, burst, script);
       const std::vector<Alternative> race = make_race(alts, w, work_us, spins);
       Stopwatch sw;
-      (void)run_alternatives(rt, parent, race, opts);
+      (void)run_alternatives(rt, parent, race);
       lat.push_back(sw.elapsed_ms() * 1000.0);
     }
     const trace::SpecProfile prof =

@@ -2,7 +2,7 @@
 // commit the winner's state, discard the loser — the paper's §1.1 block in
 // a dozen lines of library code.
 //
-//   $ quickstart [--backend=virtual|thread]
+//   $ quickstart [--backend=virtual|pool]
 #include <cstdio>
 
 #include "core/alt.hpp"
@@ -15,10 +15,10 @@ using namespace mw;
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   RuntimeConfig cfg;
-  cfg.backend = cli.get("backend", "virtual") == "thread"
-                    ? AltBackend::kThread
-                    : AltBackend::kVirtual;
+  cfg.backend = cli.get("backend", "virtual") == "pool" ? AltBackend::kPool
+                                                        : AltBackend::kVirtual;
   cfg.processors = 2;
+  cfg.pool.workers = 2;
   Runtime rt(cfg);
 
   // The problem: populate offset 0 with the answer. Two methods exist; we

@@ -13,9 +13,6 @@ AltOutcome run_alternatives(Runtime& rt, World& parent,
     case AltBackend::kVirtual:
       out = internal::run_alternatives_virtual(rt, parent, alts, opts);
       break;
-    case AltBackend::kThread:
-      out = internal::run_alternatives_thread(rt, parent, alts, opts);
-      break;
     case AltBackend::kPool:
       out = internal::run_alternatives_pool(rt, parent, alts, opts);
       break;

@@ -31,21 +31,28 @@ enum GuardPhase : unsigned {
 };
 
 /// How losing siblings are eliminated (§2.2.1). Asynchronous elimination
-/// gives better execution time at the expense of throughput.
+/// gives better execution time at the expense of throughput. On kPool
+/// elimination is cooperative: a running loser unwinds at its next
+/// checkpoint, and the block returns only after it has, in either mode. A
+/// loser that never checkpoints delays the block until it finishes;
+/// alternatives that must be killable without cooperation belong on
+/// PosixAltBlock (core/alt_posix.hpp), which SIGKILLs the losers.
 enum class Elimination { kSynchronous, kAsynchronous };
 
-/// Which engine executes the block.
+/// Which in-process engine executes the block.
 ///  * kVirtual — deterministic discrete-event backend: bodies run serially,
 ///    accounting work in ticks; a virtual-processor scheduler decides the
-///    winner. Reproducible on any host.
-///  * kThread — wall-clock backend: one OS thread per alternative, first
-///    successful sync wins a CAS; losers are cancelled cooperatively.
-///  * kPool — wall-clock backend for *many concurrent races*: alternatives
-///    are enqueued as tasks on a shared work-stealing pool (one worker per
-///    hardware thread) with bounded admission and cancellation-aware
-///    pruning — queued losers are revoked before they ever run. See
-///    core/spec_scheduler.hpp.
-enum class AltBackend { kVirtual, kThread, kPool };
+///    winner. Reproducible on any host; the reference engine.
+///  * kPool — wall-clock backend: alternatives are tasks on a shared
+///    work-stealing pool (`pool.workers` workers; 0 = one per hardware
+///    thread) with bounded admission and cancellation-aware pruning —
+///    queued losers are revoked before they ever run. See
+///    core/spec_scheduler.hpp. At most `pool.workers` alternatives run at
+///    once: one that blocks holds its worker, and a winner queued behind
+///    blocked workers ends the block at its timeout rather than wedging
+///    it. Alternatives that must be OS-scheduled whatever the core count
+///    belong on PosixAltBlock, which forks a process per alternative.
+enum class AltBackend { kVirtual, kPool };
 
 struct Alternative {
   std::string name;
@@ -64,18 +71,13 @@ struct Alternative {
 
 struct AltOptions {
   /// Parent's alt_wait timeout. In the virtual backend this is virtual
-  /// ticks; in the thread backend, microseconds of wall time. kVTimeMax
-  /// waits forever. Choose "a value clearly unacceptable to the
-  /// application" (§2.2).
+  /// ticks; on kPool, microseconds of wall time. kVTimeMax waits forever.
+  /// Choose "a value clearly unacceptable to the application" (§2.2). On
+  /// kPool the deadline also bounds a block whose winner is queued behind
+  /// workers held by blocked siblings: it fails with kTimeout.
   VDuration timeout = kVTimeMax;
   Elimination elimination = Elimination::kAsynchronous;
   unsigned guard_phases = kGuardInChild;
-  /// Thread backend: how long (µs of wall time) the block waits for
-  /// eliminated siblings to acknowledge cancellation before detaching them
-  /// as stragglers. Losers normally unwind at their next checkpoint; this
-  /// deadline bounds the damage of a loser that never checks (e.g. a hang
-  /// with no cancellation token). kVTimeMax = wait forever (join).
-  VDuration reap_deadline = 1'000'000;
 };
 
 /// τ(overhead) decomposition (§3.3): (1) setting up the worlds, (2)
@@ -99,10 +101,6 @@ struct AltReport {
   /// Pool backend: pruned from the queue before its body ever ran (its
   /// world copied zero pages). Implies !ran.
   bool revoked = false;
-  /// Thread backend: still running at the reap deadline and detached. Its
-  /// world/result slots are kept alive until it unwinds, but its page
-  /// counters were not sampled.
-  bool straggler = false;
   VTime start = 0;
   VTime finish = 0;
   std::uint64_t pages_copied = 0;  // COW breaks in its world
@@ -125,7 +123,7 @@ struct AltOutcome {
   std::optional<std::size_t> winner;  // 0-based index into the input vector
   std::string winner_name;
   /// Block execution time as seen by the parent: ticks (virtual) or
-  /// microseconds (thread backend).
+  /// microseconds (kPool).
   VDuration elapsed = 0;
   OverheadBreakdown overhead;
   /// Result bytes the winner published via AltContext::set_result.

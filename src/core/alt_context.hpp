@@ -45,11 +45,11 @@ class AltContext {
   Rng& rng() { return rng_; }
 
   /// Accounts `ticks` of virtual work and serves as a cancellation
-  /// checkpoint. In the thread backend the ticks are recorded for reporting
+  /// checkpoint. On threaded kPool the ticks are recorded for reporting
   /// only; real work is whatever the body actually computes.
   void work(VDuration ticks);
 
-  /// Like work(), but in the thread backend also *spends* roughly `ticks`
+  /// Like work(), but on threaded kPool also *spends* roughly `ticks`
   /// microseconds of CPU — lets one synthetic workload drive both backends.
   void compute(VDuration ticks);
 
@@ -67,13 +67,13 @@ class AltContext {
   void fault_point(std::string_view name);
 
   /// This alternative stops making progress. Virtual backend: unwinds via
-  /// AltHung and is scheduled as never finishing. Thread backend: blocks
+  /// AltHung and is scheduled as never finishing. Threaded kPool: blocks
   /// until eliminated, then unwinds via CancelledError (with no
   /// cancellation token it degrades to fail(), which cannot wedge).
   [[noreturn]] void hang();
 
   /// Cancellable sleep: accounts `ticks` in the virtual backend; sleeps
-  /// roughly `ticks` microseconds of wall time in the thread backend,
+  /// roughly `ticks` microseconds of wall time on threaded kPool,
   /// polling for elimination.
   void sleep_for(VDuration ticks);
 

@@ -1,23 +1,159 @@
 // kPool: alternative blocks as work-stealing tasks; the contract is in
-// alt_block.hpp. The block lifecycle (guards, verdict, sync, commit,
-// settlement) is the shared one; this file owns what the scheduler adds —
-// admission before any world is forked, alternatives submitted as
-// prioritized tasks in the policy's plan order, winner-side revocation of
-// queued siblings at the sync point, the helping wait, and the
-// scrub-before-release teardown.
+// alt_block.hpp. Pre-spawn guards and the child's verdict are shared with
+// kVirtual; this file owns the wall-clock rest of the lifecycle — admission
+// before any world is forked, alternatives submitted as prioritized tasks
+// in the policy's plan order, the at-most-once sync point with
+// winner-side revocation of queued siblings, the helping wait, the commit,
+// the losers' settlement and the scrub-before-release teardown.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 
 #include "core/alt_block.hpp"
 #include "core/runtime.hpp"
 #include "core/spec_scheduler.hpp"
+#include "proc/process_table.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mw {
 
 namespace internal {
+
+namespace {
+
+/// How a spawned alternative ended.
+enum class End {
+  kPending,    // not published yet
+  kSynced,     // won the at-most-once sync
+  kAborted,    // guard, body or acceptance failure
+  kCancelled,  // eliminated, or succeeded after a sibling synced
+  kRevoked,    // pruned while queued; body never ran, no page copied
+  kFaulted,    // killed by sched.steal fault injection; never ran
+};
+
+/// The at-most-once sync point (§2.2.1). The parent never reads `race`; it
+/// waits on `synced`/`terminal`, which a child publishes under `mu` after
+/// its results are in place.
+struct SyncPoint {
+  explicit SyncPoint(std::size_t m) : ends(m, End::kPending) {}
+
+  /// Maps child k's verdict to its end: a success syncs only if it wins
+  /// the CAS; a later success lost the race and is eliminated.
+  End arbitrate(Verdict v, std::size_t k) {
+    switch (v) {
+      case Verdict::kSuccess: {
+        int expected = -1;
+        return race.compare_exchange_strong(expected, static_cast<int>(k))
+                   ? End::kSynced
+                   : End::kCancelled;
+      }
+      case Verdict::kCancelled:
+        return End::kCancelled;
+      case Verdict::kFailed:
+      case Verdict::kHung:
+        break;
+    }
+    return End::kAborted;
+  }
+
+  /// Publishes child k's end and wakes the parent.
+  void publish(std::size_t k, End end) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      ends[k] = end;
+      if (end == End::kSynced) synced = static_cast<int>(k);
+      ++terminal;
+    }
+    cv.notify_all();
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<int> race{-1};
+  int synced = -1;
+  std::size_t terminal = 0;
+  std::vector<End> ends;
+};
+
+/// Forks one world per spawned alternative (`pids[k]` for `spawned[k]`),
+/// marking each kRunning, and charges the serial fork time as setup.
+std::vector<World> spawn_worlds(ProcessTable& table, World& parent,
+                                const std::vector<std::size_t>& spawned,
+                                const std::vector<Pid>& pids,
+                                std::uint64_t group, const Stopwatch& clock,
+                                AltOutcome& out) {
+  MW_TRACE_EVENT(trace::EventKind::kAltBlockBegin, parent.pid(), kNoPid,
+                 group, pids.size(), 0);
+  Stopwatch setup_clock;
+  std::vector<World> worlds;
+  worlds.reserve(pids.size());
+  for (std::size_t k = 0; k < pids.size(); ++k) {
+    MW_TRACE_EVENT(trace::EventKind::kAltSpawn, pids[k], parent.pid(), group,
+                   spawned[k] + 1, static_cast<VTime>(clock.elapsed_us()));
+    worlds.push_back(parent.fork_alternative(pids[k], pids));
+    table.set_status(pids[k], ProcStatus::kRunning);
+  }
+  out.overhead.setup = static_cast<VDuration>(setup_clock.elapsed_us());
+  return worlds;
+}
+
+/// alt_wait's rendezvous: records alternative `wi` (pid `pid`, world
+/// `winner`) as the winner, marks it kSynced and absorbs its world into
+/// `parent`, timing the commit.
+void commit_winner(ProcessTable& table, World& parent, std::size_t wi,
+                   Pid pid, World& winner, Bytes& result, AltOutcome& out) {
+  out.winner = wi;
+  out.winner_name = out.alts[wi].name;
+  out.alts[wi].pages_copied = winner.space().table().stats().pages_copied;
+  Stopwatch commit_clock;
+  table.set_status(pid, ProcStatus::kSynced);
+  out.result = std::move(result);
+  parent.commit_from(std::move(winner));
+  out.overhead.commit = static_cast<VDuration>(commit_clock.elapsed_us());
+}
+
+/// Writes a spawned alternative's post-mortem: report fields, its terminal
+/// status (kAborted/kFaulted fail; kCancelled/kRevoked are eliminated) and
+/// the matching trace events stamped from `clock`. `world` is sampled for
+/// pages_copied; it is null only for the winner, whose world was committed.
+void settle(AltReport& rep, End end, bool won, Pid pid, const World* world,
+            ProcessTable& table, std::uint64_t group, const Stopwatch& clock) {
+  rep.pid = pid;
+  rep.success = won;
+  rep.ran = end != End::kRevoked && end != End::kFaulted;
+  rep.revoked = end == End::kRevoked;
+  if (world) rep.pages_copied = world->space().table().stats().pages_copied;
+  switch (end) {
+    case End::kSynced:
+      break;  // already kSynced (or left to the timeout, if it raced one)
+    case End::kAborted:
+    case End::kFaulted:
+      // A kFaulted sibling crashed before its body ran: Failed, not
+      // eliminated — a supervisor watching this pid must see a crash.
+      table.set_status(pid, ProcStatus::kFailed);
+      MW_TRACE_EVENT(trace::EventKind::kAltAbort, pid, kNoPid, group, 0,
+                     static_cast<VTime>(clock.elapsed_us()));
+      break;
+    case End::kPending:  // unreachable: every end is published first
+    case End::kCancelled:
+    case End::kRevoked:
+      table.set_status(pid, ProcStatus::kEliminated);
+      if (end == End::kRevoked)
+        MW_TRACE_EVENT(trace::EventKind::kSchedRevoke, pid, kNoPid, group,
+                       rep.pages_copied,
+                       static_cast<VTime>(clock.elapsed_us()));
+      MW_TRACE_EVENT(trace::EventKind::kAltEliminate, pid, kNoPid, group, 0,
+                     static_cast<VTime>(clock.elapsed_us()));
+      break;
+  }
+}
+
+}  // namespace
 
 AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
                                  const std::vector<Alternative>& alts,
@@ -52,8 +188,8 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
                                            sibling_pids, group, block_clock,
                                            out);
 
-  // Heap-allocated and shared with every task closure, as kThread's
-  // Block: a task's trailing notify_all runs after sync->mu is released,
+  // Heap-allocated and shared with every task closure: a task's trailing
+  // notify_all runs after sync->mu is released,
   // so the parent — woken by a timed poll on the helping path, or a
   // spurious wakeup — can observe terminal == m and return first,
   // destroying a stack sync point under the notifier. The sync state must
@@ -203,8 +339,8 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   }
 
   if (!decided_in_time && wk < 0) {
-    // Timeout: revoke what never started, cancel what did, then wait the
-    // stragglers out. A child that synced while the timeout fired keeps
+    // Timeout: revoke what never started, cancel what did, then wait for
+    // the running ones to unwind. A child that synced while the timeout fired keeps
     // its at-most-once win and is honoured below.
     prune_siblings(m);  // no winner: prune everyone
     wait_for_pred(all_terminal, false);

@@ -26,7 +26,7 @@ struct RuntimeConfig {
   std::size_t num_pages = 256;
 
   /// Virtual processors for the kVirtual scheduler (the paper's Table I
-  /// machine had 2). The thread backend lets the OS schedule.
+  /// machine had 2). kPool runs on `pool.workers` real threads instead.
   std::size_t processors = 2;
 
   /// Virtual scheduling policy: run-to-completion FCFS, or timesharing

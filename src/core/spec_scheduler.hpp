@@ -1,9 +1,9 @@
 // SpecScheduler: the work-stealing executor behind the kPool backend.
 //
-// The paper spawns every alternative eagerly; the kThread backend inherits
-// that as one OS thread per alternative, which collapses once many races
-// run concurrently (256 races x 4 alternatives = 1024 threads on however
-// many cores the host has). Or-parallel Prolog engines solved the same
+// The paper spawns every alternative eagerly; one OS thread per
+// alternative collapses once many races run concurrently (256 races x 4
+// alternatives = 1024 threads on however many cores the host has).
+// Or-parallel Prolog engines solved the same
 // problem with scheduler-mediated work *sharing* instead of
 // branch-per-thread (Vieira/Rocha/Silva's splitting strategies,
 // Van Overveldt/Demoen's hProlog); this is the worlds equivalent:

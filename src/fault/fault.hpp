@@ -93,8 +93,8 @@ struct FiredFault {
   VTime at = 0;           // the `now` passed to query()
 };
 
-/// Seeded registry of armed fault points. Thread-safe: the thread backend
-/// queries points from concurrent alternative bodies.
+/// Seeded registry of armed fault points. Thread-safe: kPool's workers
+/// query points from concurrent alternative bodies.
 class FaultInjector {
  public:
   explicit FaultInjector(std::uint64_t seed = 0);
@@ -148,7 +148,7 @@ class FaultInjector {
 
 /// The ambient injector consulted by MW_FAULT_POINT, or nullptr (the
 /// default: all faults disabled). Process-global, not thread-local, so
-/// fault points inside worker threads of the thread backend see it.
+/// fault points inside kPool's worker threads see it.
 FaultInjector* fault_injector();
 
 /// RAII installation of an ambient injector; restores the previous one.

@@ -36,7 +36,7 @@ struct RbResult {
   /// Alternates whose acceptance test rejected (sequential: tried before
   /// the winner; concurrent: observed failures).
   int rejected = 0;
-  /// Virtual ticks (virtual backend) / microseconds (thread backend).
+  /// Virtual ticks (virtual backend) / microseconds (kPool).
   VDuration elapsed = 0;
 };
 

@@ -11,7 +11,7 @@
 //   * time-to-first-win vs. time-to-quiesce — how long before the block
 //     had its answer vs. how long until the last loser stopped burning
 //     cycles (identical in the DES backends, which eliminate losers
-//     instantly; they diverge on the thread backend).
+//     instantly; they diverge on the wall-clock kPool).
 #pragma once
 
 #include <array>

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
 #include "core/alt_posix.hpp"
@@ -14,9 +16,11 @@
 namespace mw {
 namespace {
 
-Runtime make_runtime(AltBackend backend) {
+// `workers` sizes kPool's worker pool; kVirtual ignores it.
+Runtime make_runtime(AltBackend backend, std::size_t workers = 0) {
   RuntimeConfig cfg;
   cfg.backend = backend;
+  cfg.pool.workers = workers;
   return Runtime(cfg);
 }
 
@@ -75,8 +79,8 @@ TEST(AltTimeoutVirtual, MixOfHangAndFailTimesOut) {
   EXPECT_EQ(out.failure, AltFailure::kTimeout);
 }
 
-TEST(AltTimeoutThread, AllHungSelectsFailureAtDeadline) {
-  Runtime rt = make_runtime(AltBackend::kThread);
+TEST(AltTimeoutPool, AllHungSelectsFailureAtDeadline) {
+  Runtime rt = make_runtime(AltBackend::kPool, 2);
   World root = rt.make_root();
   const AltOutcome out = AltBlock(rt, root)
                              .alt("h1", [](AltContext& ctx) { ctx.hang(); })
@@ -91,8 +95,8 @@ TEST(AltTimeoutThread, AllHungSelectsFailureAtDeadline) {
     EXPECT_TRUE(is_terminal(rt.processes().status(r.pid)));
 }
 
-TEST(AltTimeoutThread, HungSiblingIsEliminatedByWinner) {
-  Runtime rt = make_runtime(AltBackend::kThread);
+TEST(AltTimeoutPool, HungSiblingIsEliminatedByWinner) {
+  Runtime rt = make_runtime(AltBackend::kPool, 2);
   World root = rt.make_root();
   const AltOutcome out =
       AltBlock(rt, root)
@@ -106,6 +110,28 @@ TEST(AltTimeoutThread, HungSiblingIsEliminatedByWinner) {
           .run();
   ASSERT_FALSE(out.failed);
   EXPECT_EQ(out.winner_name, "worker");
+}
+
+TEST(AltTimeoutPool, BlockedWorkerTimesOutInsteadOfWedging) {
+  // One worker: the hanging alternative is taken first and holds it, so
+  // the winner queued behind it never runs. The block's timeout still
+  // fires — kTimeout, not a wedge. Alternatives that must all run at once
+  // whatever the worker count belong on PosixAltBlock.
+  Runtime rt = make_runtime(AltBackend::kPool, 1);
+  World root = rt.make_root();
+  const auto start = std::chrono::steady_clock::now();
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("hanger", [](AltContext& ctx) { ctx.hang(); })
+          .alt("winner", [](AltContext& ctx) { ctx.set_result_string("w"); })
+          .timeout(vt_ms(300))  // µs of wall time
+          .run();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(out.failed);
+  EXPECT_EQ(out.failure, AltFailure::kTimeout);
+  for (const AltReport& r : out.alts)
+    EXPECT_TRUE(is_terminal(rt.processes().status(r.pid)));
+  EXPECT_LT(waited, std::chrono::milliseconds(600));
 }
 
 TEST(AltTimeoutPosix, SpinningChildrenCannotOutliveTheDeadline) {

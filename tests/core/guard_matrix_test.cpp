@@ -2,11 +2,12 @@
 // can be executed serially before spawning the alternatives; in the child
 // process; at the synchronization point; or at any combination of these
 // places, for redundancy." Every combination must agree on outcomes, on
-// every engine (kPool in deterministic mode), and a guard or acceptance
-// test that throws fails only its own alternative.
+// every engine (kPool both threaded and in deterministic mode), and a guard
+// or acceptance test that throws fails only its own alternative.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <ostream>
 #include <stdexcept>
 
@@ -20,11 +21,12 @@ namespace {
 
 struct GuardCase {
   AltBackend engine;
+  std::uint64_t pool_seed;  // kPool only: 0 = threaded, else deterministic
   unsigned phases;
 };
 
 // The test name carries the phase mask; the instantiation prefix names the
-// engine.
+// engine (ThreadPhaseCombos: kPool on real worker threads).
 void PrintTo(const GuardCase& c, std::ostream* os) { *os << c.phases; }
 
 class GuardMatrixTest : public ::testing::TestWithParam<GuardCase> {
@@ -36,7 +38,8 @@ class GuardMatrixTest : public ::testing::TestWithParam<GuardCase> {
     cfg.cost = CostModel::free();
     cfg.page_size = 64;
     cfg.num_pages = 32;
-    cfg.pool.deterministic_seed = 7;
+    cfg.pool.deterministic_seed = GetParam().pool_seed;
+    cfg.pool.workers = 2;
     return cfg;
   }
   AltOptions options() {
@@ -145,18 +148,19 @@ constexpr unsigned kPhaseCombos[] = {
     kGuardInChild | kGuardAtSync,
     kGuardPreSpawn | kGuardInChild | kGuardAtSync};
 
-std::vector<GuardCase> cases(AltBackend engine) {
+std::vector<GuardCase> cases(AltBackend engine, std::uint64_t pool_seed = 0) {
   std::vector<GuardCase> out;
-  for (unsigned phases : kPhaseCombos) out.push_back({engine, phases});
+  for (unsigned phases : kPhaseCombos)
+    out.push_back({engine, pool_seed, phases});
   return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPhaseCombos, GuardMatrixTest,
                          ::testing::ValuesIn(cases(AltBackend::kVirtual)));
 INSTANTIATE_TEST_SUITE_P(ThreadPhaseCombos, GuardMatrixTest,
-                         ::testing::ValuesIn(cases(AltBackend::kThread)));
-INSTANTIATE_TEST_SUITE_P(PoolPhaseCombos, GuardMatrixTest,
                          ::testing::ValuesIn(cases(AltBackend::kPool)));
+INSTANTIATE_TEST_SUITE_P(PoolPhaseCombos, GuardMatrixTest,
+                         ::testing::ValuesIn(cases(AltBackend::kPool, 7)));
 
 TEST(GuardPhases, AtSyncSeesChildStateChanges) {
   // A guard evaluated only at sync sees what the body wrote; evaluated

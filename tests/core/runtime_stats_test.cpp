@@ -91,9 +91,10 @@ TEST(RuntimeStats, OverheadLedgerMatchesOutcomes) {
   EXPECT_GT(rt.stats().total_overhead, 0);
 }
 
-TEST(RuntimeStats, ThreadBackendAlsoRecords) {
+TEST(RuntimeStats, PoolBackendAlsoRecords) {
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;
+  cfg.pool.workers = 2;
   cfg.page_size = 64;
   cfg.num_pages = 32;
   Runtime rt(cfg);

@@ -3,9 +3,9 @@
 // drawn from a seed — each seed is one reproducible interleaving of the
 // work-stealing scheduler. The property: on scripted races whose winner is
 // semantically unique, every seed must produce the same observable outcome
-// as the kThread backend — same winners, same failure kinds, same
-// committed root-world bytes, clean audit — while the execution *order*
-// varies freely across seeds.
+// as the kVirtual reference engine — same winners, same failure kinds,
+// same committed root-world bytes, clean audit — while the execution
+// *order* varies freely across seeds.
 //
 // CI shards the seed sweep with MW_FAULT_SEED_BASE / MW_FAULT_SEED_COUNT
 // (the fault-matrix convention); a failing seed is a replay handle.
@@ -109,10 +109,10 @@ void expect_equivalent(const ScriptRun& a, const ScriptRun& b,
   EXPECT_TRUE(b.audit_clean) << label << "\n" << b.audit_text;
 }
 
-TEST(SchedModel, DeterministicPoolMatchesThreadBackend) {
-  const ScriptRun thread_run = run_script(AltBackend::kThread, 0);
+TEST(SchedModel, DeterministicPoolMatchesVirtualBackend) {
+  const ScriptRun virtual_run = run_script(AltBackend::kVirtual, 0);
   const ScriptRun pool_run = run_script(AltBackend::kPool, 3);
-  expect_equivalent(thread_run, pool_run, "thread vs pool(seed=3)");
+  expect_equivalent(virtual_run, pool_run, "virtual vs pool(seed=3)");
 }
 
 TEST(SchedModel, SameSeedReplaysTheIdenticalSchedule) {
@@ -139,14 +139,14 @@ TEST(SchedModel, SeedsExploreDifferentInterleavings) {
       << "16 seeds produced one schedule: the coin is not wired";
 }
 
-TEST(SchedModel, EnvSeedSweepIsEquivalentToTheThreadBackend) {
+TEST(SchedModel, EnvSeedSweepIsEquivalentToTheVirtualBackend) {
   const char* base_env = std::getenv("MW_FAULT_SEED_BASE");
   const char* count_env = std::getenv("MW_FAULT_SEED_COUNT");
   const std::uint64_t base =
       base_env ? std::strtoull(base_env, nullptr, 10) : 1;
   const std::uint64_t count =
       count_env ? std::strtoull(count_env, nullptr, 10) : 16;
-  const ScriptRun reference = run_script(AltBackend::kThread, 0);
+  const ScriptRun reference = run_script(AltBackend::kVirtual, 0);
   for (std::uint64_t seed = base; seed < base + count; ++seed) {
     const ScriptRun run = run_script(AltBackend::kPool, seed);
     expect_equivalent(reference, run, "seed=" + std::to_string(seed));

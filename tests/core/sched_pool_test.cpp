@@ -1,7 +1,6 @@
 // Unit tests for the work-stealing speculation scheduler and the kPool
 // backend built on it: priority order, queued-task revocation, bounded
-// admission, helping waits, and the kThread backend's bounded straggler
-// reap that the pool design replaced.
+// admission and helping waits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,64 +327,6 @@ TEST(AltPool, ThreadedPoolRunsManyRacesCleanly) {
   }
   const AuditReport audit = auditor.run(rt.processes());
   EXPECT_TRUE(audit.clean()) << audit.to_string();
-}
-
-// ---- kThread bounded reap --------------------------------------------
-
-TEST(AltThreadReap, DeafLoserIsDetachedAsStragglerAtTheDeadline) {
-  // The loser ignores cancellation entirely (a plain sleep, no
-  // checkpoints). The block must come back at the reap deadline with the
-  // loser marked straggler instead of blocking on a join.
-  RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
-  cfg.page_size = 256;
-  cfg.num_pages = 16;
-  Runtime rt(cfg);
-  World root = rt.make_root("reap");
-  std::vector<Alternative> race;
-  race.push_back({"win", nullptr,
-                  [](AltContext& ctx) { ctx.set_result_string("w"); },
-                  nullptr, 0.0});
-  std::atomic<bool> loser_done{false};
-  race.push_back({"deaf", nullptr,
-                  [&](AltContext&) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(150));
-                    loser_done = true;
-                  },
-                  nullptr, 0.0});
-  AltOptions opts;
-  opts.reap_deadline = 10'000;  // 10 ms
-  const AltOutcome out = run_alternatives(rt, root, race, opts);
-  ASSERT_FALSE(out.failed);
-  EXPECT_EQ(out.winner_name, "win");
-  EXPECT_FALSE(loser_done.load());  // we returned before the sleep ended
-  EXPECT_TRUE(out.alts[1].straggler);
-  EXPECT_FALSE(out.alts[0].straggler);
-  // Let the detached straggler unwind before the runtime leaves scope.
-  while (!loser_done.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-}
-
-TEST(AltThreadReap, CooperativeLosersJoinWithoutStragglers) {
-  RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
-  cfg.page_size = 256;
-  cfg.num_pages = 16;
-  Runtime rt(cfg);
-  World root = rt.make_root("coop");
-  const AltOutcome out =
-      AltBlock(rt, root)
-          .alt("win", [](AltContext& ctx) { ctx.set_result_string("w"); })
-          .alt("coop",
-               [](AltContext& ctx) {
-                 for (int i = 0; i < 200; ++i) ctx.sleep_for(1'000);
-                 ctx.fail("never");
-               })
-          .run();
-  ASSERT_FALSE(out.failed);
-  for (const AltReport& rep : out.alts) EXPECT_FALSE(rep.straggler);
 }
 
 }  // namespace

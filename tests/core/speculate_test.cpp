@@ -110,9 +110,10 @@ TEST(Speculate, TimeoutFails) {
   EXPECT_EQ(r.outcome.failure, AltFailure::kTimeout);
 }
 
-TEST(Speculate, ThreadBackendWorksToo) {
+TEST(Speculate, PoolBackendWorksToo) {
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;
+  cfg.pool.workers = 2;
   cfg.page_size = 64;
   cfg.num_pages = 32;
   Runtime rt(cfg);

@@ -219,9 +219,10 @@ TEST(FaultMatrix, EnvSeedSweepAuditsClean) {
   EXPECT_GT(retransmissions_seen, 0u);
 }
 
-TEST(FaultMatrix, ThreadBackendSurvivesCrashAndHangChildren) {
+TEST(FaultMatrix, PoolBackendSurvivesCrashAndHangChildren) {
   // Wall-clock backend: a crashing child and a hanging child in every
-  // block. Deterministic per-point policies (always) keep the schedule
+  // block, one worker per alternative so the hang cannot hold the winner's.
+  // Deterministic per-point policies (always) keep the schedule
   // interleaving-independent; the assertions are completion + invariants.
   FaultInjector inj(5);
   inj.arm("mxt.crash", FaultSpec::always(FaultKind::kCrashException));
@@ -229,7 +230,8 @@ TEST(FaultMatrix, ThreadBackendSurvivesCrashAndHangChildren) {
   FaultScope scope(inj);
 
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;
+  cfg.pool.workers = 3;
   Runtime rt(cfg);
   RuntimeAuditor auditor;
   World root = rt.make_root("matrix-t");
@@ -265,7 +267,8 @@ TEST(FaultMatrix, SequentialRecoveryBlockDegradesInjectedHang) {
   inj.arm("rb.seqhang.primary", FaultSpec::always(FaultKind::kHang));
   FaultScope scope(inj);
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;  // non-virtual: the degrading path
+  cfg.backend = AltBackend::kPool;  // non-virtual: the degrading path
+  cfg.pool.workers = 2;
   Runtime rt(cfg);
   World root = rt.make_root();
   RecoveryBlock rb("seqhang", [](const World&) { return true; });

@@ -1,5 +1,5 @@
-// Scheduler stress: ten thousand races across all three execution
-// backends, concurrent drivers hammering one shared pool, a long
+// Scheduler stress: ten thousand races across kVirtual, threaded kPool and
+// deterministic kPool, concurrent drivers hammering one shared pool, a long
 // deterministic-pool run, and the worlds-layer admission budget — every
 // configuration must leave the runtime auditor clean.
 #include <gtest/gtest.h>
@@ -47,8 +47,7 @@ struct BackendLoad {
 TEST(SchedStress, TenThousandRacesAcrossBackendsAuditClean) {
   const BackendLoad loads[] = {
       {AltBackend::kVirtual, 0, 5000, "virtual"},
-      {AltBackend::kThread, 0, 1500, "thread"},
-      {AltBackend::kPool, 0, 1500, "pool-threaded"},
+      {AltBackend::kPool, 0, 3000, "pool-threaded"},
       {AltBackend::kPool, 42, 2000, "pool-deterministic"},
   };
   int total = 0;

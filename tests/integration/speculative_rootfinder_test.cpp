@@ -69,11 +69,12 @@ TEST(SpeculativeRootfinder, VirtualDeterministicAcrossRuns) {
   EXPECT_EQ(a.overhead.total(), b.overhead.total());
 }
 
-TEST(SpeculativeRootfinder, ThreadBackendAgreesOnOutcome) {
+TEST(SpeculativeRootfinder, PoolBackendAgreesOnOutcome) {
   Rng rng(23);
   PolyWorkload w = make_clustered_poly(rng);
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;
+  cfg.pool.workers = 3;
   Runtime rt(cfg);
   World root = rt.make_root();
   auto out = run_alternatives(rt, root,
