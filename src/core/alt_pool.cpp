@@ -4,13 +4,15 @@
 // before any world is forked, alternatives submitted as prioritized tasks
 // in the policy's plan order, the at-most-once sync point with
 // winner-side revocation of queued siblings, the helping wait, the commit,
-// the losers' settlement and the scrub-before-release teardown.
+// the losers' settlement and the scrub-before-release teardown. A losing
+// child drops its own world on the worker that ran it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "core/alt_block.hpp"
 #include "core/runtime.hpp"
@@ -109,7 +111,6 @@ void commit_winner(ProcessTable& table, World& parent, std::size_t wi,
                    Pid pid, World& winner, Bytes& result, AltOutcome& out) {
   out.winner = wi;
   out.winner_name = out.alts[wi].name;
-  out.alts[wi].pages_copied = winner.space().table().stats().pages_copied;
   Stopwatch commit_clock;
   table.set_status(pid, ProcStatus::kSynced);
   out.result = std::move(result);
@@ -119,15 +120,17 @@ void commit_winner(ProcessTable& table, World& parent, std::size_t wi,
 
 /// Writes a spawned alternative's post-mortem: report fields, its terminal
 /// status (kAborted/kFaulted fail; kCancelled/kRevoked are eliminated) and
-/// the matching trace events stamped from `clock`. `world` is sampled for
-/// pages_copied; it is null only for the winner, whose world was committed.
-void settle(AltReport& rep, End end, bool won, Pid pid, const World* world,
-            ProcessTable& table, std::uint64_t group, const Stopwatch& clock) {
+/// the matching trace events stamped from `clock`. `pages_copied` is what
+/// the child's world copied, sampled by its task before a loser's world
+/// was dropped or the winner's committed.
+void settle(AltReport& rep, End end, bool won, Pid pid,
+            std::uint64_t pages_copied, ProcessTable& table,
+            std::uint64_t group, const Stopwatch& clock) {
   rep.pid = pid;
   rep.success = won;
   rep.ran = end != End::kRevoked && end != End::kFaulted;
   rep.revoked = end == End::kRevoked;
-  if (world) rep.pages_copied = world->space().table().stats().pages_copied;
+  rep.pages_copied = pages_copied;
   switch (end) {
     case End::kSynced:
       break;  // already kSynced (or left to the timeout, if it raced one)
@@ -200,6 +203,9 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
 
   std::vector<CancelToken> cancels(m);
   std::vector<Bytes> results(m);
+  // Pages each child's world copied, sampled by its task before it drops a
+  // losing world (children that never ran copied none).
+  std::vector<std::uint64_t> copied(m, 0);
   // Task handles, written by the submit loop and read by the winner's
   // pruning pass — both under sync->mu (a task can win while later
   // siblings are still being submitted).
@@ -263,8 +269,9 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
       const End end =
           sync->arbitrate(run_child(alts[i], child, ctx, opts.guard_phases), k);
       results[k] = ctx.result();
+      copied[k] = child.space().table().stats().pages_copied;
       MW_TRACE_EVENT(trace::EventKind::kAltChildEnd, sibling_pids[k], kNoPid,
-                     group, child.space().table().stats().pages_copied,
+                     group, copied[k],
                      static_cast<VTime>(block_clock.elapsed_us()));
       if (end == End::kSynced) {
         MW_TRACE_EVENT(trace::EventKind::kAltSync, sibling_pids[k],
@@ -273,6 +280,14 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
         // Cancellation-aware pruning: kill the queued siblings while they
         // have copied zero pages, before the parent even wakes.
         prune_siblings(k);
+      } else {
+        // A loser's world dies here, on the worker that ran it, so its
+        // pages' refcount drops hit caches that just did the increments
+        // and its frames recycle into this worker's pool shard. It is gone
+        // before the end is published, so every loser's pages are gone
+        // once the block has seen all ends — before it returns.
+        child.space() = AddressSpace(child.space().page_size(),
+                                     child.space().table().num_pages());
       }
       sync->publish(k, end);
     };
@@ -352,6 +367,13 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     }
   }
 
+  // The parent's pre-commit page map, kept alive until every sibling has
+  // ended. A sibling writes a radix node or page in place once its
+  // use_count() reads 1, and that read is relaxed: it is not ordered after
+  // another sibling's reads of the object and the drop of that sibling's
+  // world. While this map holds everything the siblings forked from, each
+  // shared object keeps a count of at least 2 and is never written in place.
+  std::optional<PageTable> forked_from;
   if (wk >= 0) {
     // The winner already pruned its queued siblings; sweep again from the
     // parent to catch any sibling submitted after the winner's pass, then
@@ -363,6 +385,7 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     out.overhead.elimination = static_cast<VDuration>(elim_clock.elapsed_us());
 
     const auto wku = static_cast<std::size_t>(wk);
+    forked_from.emplace(parent.space().table());
     commit_winner(table, parent, spawned[wku], sibling_pids[wku],
                   worlds[wku], results[wku], out);
   } else if (decided_in_time) {
@@ -375,21 +398,23 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   // terminal before the worlds vector leaves scope. Running losers unwind
   // at their next checkpoint; revoked ones are already terminal.
   wait_for_pred(all_terminal, false);
+  forked_from.reset();
 
   for (std::size_t k = 0; k < m; ++k) {
     const bool won = static_cast<int>(k) == wk;
     settle(out.alts[spawned[k]], sync->ends[k], won, sibling_pids[k],
-           won ? nullptr : &worlds[k], table, group, block_clock);
+           copied[k], table, group, block_clock);
   }
   MW_TRACE_EVENT(trace::EventKind::kAltBlockEnd, parent.pid(), kNoPid, group,
                  static_cast<std::uint64_t>(out.failure),
                  static_cast<VTime>(block_clock.elapsed_us()));
 
   // Drop terminal task records of this race still parked in the deques,
-  // then destroy this block's worlds (the losers' pages die here) before
-  // giving the grant back — releasing first would let a new race admit
-  // while the old one's pages are still resident, transiently blowing the
-  // max_live_worlds/max_resident_pages budget.
+  // then destroy this block's worlds before giving the grant back. The
+  // losers that ran already dropped their pages on their workers; what is
+  // left are the forks that never ran, which own no page of their own.
+  // Releasing first would let a new race admit while the old one's worlds
+  // still exist, transiently blowing the max_live_worlds budget.
   sched.scrub(group);
   worlds.clear();
   sched.release(m);

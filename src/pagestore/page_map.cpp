@@ -1,31 +1,53 @@
 #include "pagestore/page_map.hpp"
 
+#include <array>
+
 #include "util/check.hpp"
 
 namespace mw {
 
-// A node is either an inner node (children populated) or a leaf (pages and
-// tags populated); which one is fixed by its level in the tree. Shared nodes
-// are immutable: slot_for_write clones any node whose use_count exceeds 1
-// before descending through it.
+// A node is either an inner node (Inner: 64 children) or a leaf (Leaf: 64
+// page references plus 64 generation tags); which one is fixed by its level
+// in the tree, and `leaf` records it for the walks that do not track the
+// level. Each kind holds its slots in inline arrays, so make_shared puts
+// control block and slots in one allocation and a path copy costs exactly
+// one allocation per node; a leaf carries no child array and an inner node
+// no page array. Shared nodes are immutable: slot_for_write clones any node
+// whose use_count exceeds 1 before descending through it.
 struct PageMap::Node {
-  explicit Node(bool is_leaf) {
-    if (is_leaf) {
-      pages.resize(kFanout);
-      tags.assign(kFanout, 0);
-    } else {
-      children.resize(kFanout);
-    }
-  }
-  Node(const Node&) = default;
+  explicit Node(bool is_leaf) : leaf(is_leaf) {}
 
-  bool leaf() const { return children.empty(); }
-
+  const bool leaf;
   std::size_t resident = 0;  // resident pages in this whole subtree
-  std::vector<NodeRef> children;       // inner nodes only
-  std::vector<PageRef> pages;          // leaves only
-  std::vector<std::uint64_t> tags;     // leaves only, parallel to pages
 };
+
+struct PageMap::Inner : Node {
+  Inner() : Node(false) {}
+  std::array<NodeRef, kFanout> children;
+};
+
+struct PageMap::Leaf : Node {
+  Leaf() : Node(true) {}
+  std::array<PageRef, kFanout> pages;
+  std::array<std::uint64_t, kFanout> tags{};  // parallel to pages
+};
+
+PageMap::Inner& PageMap::as_inner(Node& n) { return static_cast<Inner&>(n); }
+PageMap::Leaf& PageMap::as_leaf(Node& n) { return static_cast<Leaf&>(n); }
+const PageMap::Inner& PageMap::as_inner(const Node& n) {
+  return static_cast<const Inner&>(n);
+}
+const PageMap::Leaf& PageMap::as_leaf(const Node& n) {
+  return static_cast<const Leaf&>(n);
+}
+
+const PageMap::Node* PageMap::kid(const Node* n, std::size_t i) {
+  return n ? as_inner(*n).children[i].get() : nullptr;
+}
+
+const Page* PageMap::page_at(const Node* n, std::size_t i) {
+  return n ? as_leaf(*n).pages[i].get() : nullptr;
+}
 
 PageMap::PageMap(std::size_t num_pages) : num_pages_(num_pages), depth_(1) {
   // Smallest depth whose capacity covers the address space; an empty map is
@@ -86,9 +108,8 @@ const Page* PageMap::peek(std::size_t i) const {
   MW_CHECK(i < num_pages_);
   const Node* n = root_.get();
   for (int level = 0; n && level + 1 < depth_; ++level)
-    n = n->children[child_index(i, level)].get();
-  if (!n) return nullptr;
-  return n->pages[child_index(i, depth_ - 1)].get();
+    n = kid(n, child_index(i, level));
+  return page_at(n, child_index(i, depth_ - 1));
 }
 
 PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
@@ -98,15 +119,24 @@ PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
   for (int level = 0;; ++level) {
     const bool at_leaf = (level + 1 == depth_);
     if (!*link) {
-      *link = std::make_shared<Node>(at_leaf);
+      if (at_leaf) {
+        *link = std::make_shared<Leaf>();
+      } else {
+        *link = std::make_shared<Inner>();
+      }
     } else if (link->use_count() > 1) {
       // Path copy: this node is shared with a forked sibling/ancestor map.
-      // Cloning copies kFanout child/page references but no page data.
-      *link = std::make_shared<Node>(**link);
+      // Cloning copies kFanout child/page references but no page data, in
+      // one allocation.
+      if (at_leaf) {
+        *link = std::make_shared<Leaf>(as_leaf(**link));
+      } else {
+        *link = std::make_shared<Inner>(as_inner(**link));
+      }
     }
-    Node& n = **link;
     const std::size_t idx = child_index(i, level);
     if (at_leaf) {
+      Leaf& n = as_leaf(**link);
       // The walk just certified exclusive ownership of the whole path;
       // remember the leaf's slot arrays so locality-friendly writers take
       // the inline fast path on the next write.
@@ -115,7 +145,7 @@ PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
       cached_pages_.store(n.pages.data(), std::memory_order_relaxed);
       return Slot{&n.pages[idx], &n.tags[idx]};
     }
-    link = &n.children[idx];
+    link = &as_inner(**link).children[idx];
   }
 }
 
@@ -126,7 +156,7 @@ void PageMap::note_resident(std::size_t i) {
     MW_CHECK(n != nullptr);
     ++n->resident;
     if (level + 1 == depth_) return;
-    n = n->children[child_index(i, level)].get();
+    n = as_inner(*n).children[child_index(i, level)].get();
   }
 }
 
@@ -135,15 +165,14 @@ std::size_t PageMap::resident() const { return root_ ? root_->resident : 0; }
 std::size_t PageMap::shared_rec(const Node* a, const Node* b) {
   if (!a || !b) return 0;
   if (a == b) return a->resident;  // whole subtree shared: prune
-  if (a->leaf()) {
-    std::size_t n = 0;
+  std::size_t n = 0;
+  if (a->leaf) {
     for (std::size_t i = 0; i < kFanout; ++i)
-      if (a->pages[i] && a->pages[i] == b->pages[i]) ++n;
+      if (page_at(a, i) && page_at(a, i) == page_at(b, i)) ++n;
     return n;
   }
-  std::size_t n = 0;
   for (std::size_t i = 0; i < kFanout; ++i)
-    n += shared_rec(a->children[i].get(), b->children[i].get());
+    n += shared_rec(kid(a, i), kid(b, i));
   return n;
 }
 
@@ -159,10 +188,9 @@ void PageMap::diff_rec(const Node* a, const Node* b, std::size_t base,
   if (!b && a && a->resident == 0) return;
   if (level + 1 == depth_) {
     for (std::size_t i = 0; i < kFanout; ++i) {
-      const Page* pa = a ? a->pages[i].get() : nullptr;
-      const Page* pb = b ? b->pages[i].get() : nullptr;
       const std::size_t idx = base + i;
-      if (idx < num_pages_ && pa != pb) out.push_back(idx);
+      if (idx < num_pages_ && page_at(a, i) != page_at(b, i))
+        out.push_back(idx);
     }
     return;
   }
@@ -170,9 +198,7 @@ void PageMap::diff_rec(const Node* a, const Node* b, std::size_t base,
                            << (static_cast<std::size_t>(depth_ - 1 - level) *
                                kFanoutBits);
   for (std::size_t i = 0; i < kFanout; ++i)
-    diff_rec(a ? a->children[i].get() : nullptr,
-             b ? b->children[i].get() : nullptr, base + i * span, level + 1,
-             out);
+    diff_rec(kid(a, i), kid(b, i), base + i * span, level + 1, out);
 }
 
 std::vector<std::size_t> PageMap::diff(const PageMap& other) const {
@@ -185,12 +211,12 @@ std::vector<std::size_t> PageMap::diff(const PageMap& other) const {
 void PageMap::collect_rec(const Node* n,
                           std::unordered_set<const Page*>& out) {
   if (!n) return;
-  if (n->leaf()) {
-    for (const PageRef& p : n->pages)
+  if (n->leaf) {
+    for (const PageRef& p : as_leaf(*n).pages)
       if (p) out.insert(p.get());
     return;
   }
-  for (const NodeRef& c : n->children) collect_rec(c.get(), out);
+  for (const NodeRef& c : as_inner(*n).children) collect_rec(c.get(), out);
 }
 
 void PageMap::collect_pages(std::unordered_set<const Page*>& out) const {
@@ -199,14 +225,15 @@ void PageMap::collect_pages(std::unordered_set<const Page*>& out) const {
 
 std::size_t PageMap::count_tags_rec(const Node* n, std::uint64_t epoch) {
   if (!n || n->resident == 0) return 0;
-  if (n->leaf()) {
-    std::size_t count = 0;
+  std::size_t count = 0;
+  if (n->leaf) {
+    const Leaf& l = as_leaf(*n);
     for (std::size_t i = 0; i < kFanout; ++i)
-      if (n->pages[i] && n->tags[i] > epoch) ++count;
+      if (l.pages[i] && l.tags[i] > epoch) ++count;
     return count;
   }
-  std::size_t count = 0;
-  for (const NodeRef& c : n->children) count += count_tags_rec(c.get(), epoch);
+  for (const NodeRef& c : as_inner(*n).children)
+    count += count_tags_rec(c.get(), epoch);
   return count;
 }
 
@@ -226,9 +253,8 @@ std::size_t PageMap::count_child_diff_rec(const Node* base, const Node* child,
     std::size_t n = 0;
     for (std::size_t i = 0; i < kFanout; ++i) {
       if (sub_base + i >= num_pages_) break;
-      const Page* pc = child->pages[i].get();
-      const Page* pb = base ? base->pages[i].get() : nullptr;
-      if (pc != nullptr && pc != pb) ++n;
+      const Page* pc = page_at(child, i);
+      if (pc != nullptr && pc != page_at(base, i)) ++n;
     }
     return n;
   }
@@ -237,9 +263,8 @@ std::size_t PageMap::count_child_diff_rec(const Node* base, const Node* child,
                            << (static_cast<std::size_t>(depth_ - 1 - level) *
                                kFanoutBits);
   for (std::size_t i = 0; i < kFanout; ++i)
-    n += count_child_diff_rec(base ? base->children[i].get() : nullptr,
-                              child->children[i].get(), sub_base + i * span,
-                              level + 1);
+    n += count_child_diff_rec(kid(base, i), kid(child, i),
+                              sub_base + i * span, level + 1);
   return n;
 }
 
@@ -262,24 +287,22 @@ void PageMap::extract_rec(const Node* base, const Node* child,
     for (std::size_t i = 0; i < kFanout; ++i) {
       const std::size_t idx = sub_base + i;
       if (idx >= num_pages_) break;
-      const Page* pc = child->pages[i].get();
-      const Page* pb = base ? base->pages[i].get() : nullptr;
-      if (pc == nullptr || pc == pb) continue;
+      const Page* pc = page_at(child, i);
+      if (pc == nullptr || pc == page_at(base, i)) continue;
       if (idx < lo || idx >= hi) {
         ++out.out_of_range;
         continue;
       }
       out.index.push_back(idx);
-      out.page.push_back(child->pages[i]);
-      out.tag.push_back(child->tags[i]);
+      out.page.push_back(as_leaf(*child).pages[i]);
+      out.tag.push_back(as_leaf(*child).tags[i]);
     }
     return;
   }
   const std::size_t child_span = span >> kFanoutBits;
   for (std::size_t i = 0; i < kFanout; ++i)
-    extract_rec(base ? base->children[i].get() : nullptr,
-                child->children[i].get(), sub_base + i * child_span, level + 1,
-                lo, hi, out);
+    extract_rec(kid(base, i), kid(child, i), sub_base + i * child_span,
+                level + 1, lo, hi, out);
 }
 
 PageMap::RangeDelta PageMap::extract_delta(const PageMap& child,

@@ -119,8 +119,19 @@ class PageMap {
   std::size_t apply_delta(const RangeDelta& d);
 
  private:
-  struct Node;
+  struct Node;   // what a NodeRef points to: the kind flag and count
+  struct Inner;  // a Node with kFanout children
+  struct Leaf;   // a Node with kFanout page references and tags
   using NodeRef = std::shared_ptr<Node>;
+
+  static Inner& as_inner(Node& n);
+  static Leaf& as_leaf(Node& n);
+  static const Inner& as_inner(const Node& n);
+  static const Leaf& as_leaf(const Node& n);
+  /// Child `i` of inner node `n`, or page `i` of leaf `n`; null when `n`
+  /// is null (an absent subtree).
+  static const Node* kid(const Node* n, std::size_t i);
+  static const Page* page_at(const Node* n, std::size_t i);
 
   std::size_t child_index(std::size_t i, int level) const;
   Slot slot_for_write_slow(std::size_t i);

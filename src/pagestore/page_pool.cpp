@@ -106,12 +106,17 @@ PageRef PagePool::wrap(Page* p) {
   return PageRef(p, [this](Page* page) { recycle(page); });
 }
 
+PageRef PagePool::acquire_uninit(std::size_t size, bool* was_hit) {
+  return wrap(new Page(take_frame(size, was_hit)));
+}
+
 PageRef PagePool::acquire_zeroed(std::size_t size, bool* was_hit) {
   bool hit = false;
-  std::vector<std::uint8_t> frame = take_frame(size, &hit);
-  if (hit) std::memset(frame.data(), 0, frame.size());
+  PageRef page = acquire_uninit(size, &hit);
+  // A fresh frame from the system allocator is already zero.
+  if (hit) std::memset(page->mutable_data(), 0, size);
   if (was_hit) *was_hit = hit;
-  return wrap(new Page(std::move(frame)));
+  return page;
 }
 
 PageRef PagePool::acquire_copy(const Page& src, bool* was_hit) {

@@ -65,6 +65,12 @@ class PagePool {
   /// The process-wide pool used by every PageTable.
   static PagePool& global();
 
+  /// A page of `size` bytes with unspecified contents: a recycled frame
+  /// keeps its old bytes (the blind-write path overwrites every byte).
+  /// `*was_hit` reports whether a recycled frame was reused (true) or the
+  /// system allocator was hit.
+  PageRef acquire_uninit(std::size_t size, bool* was_hit);
+
   /// A zero-filled page of `size` bytes. `*was_hit` reports whether a
   /// recycled frame was reused (true) or the system allocator was hit.
   PageRef acquire_zeroed(std::size_t size, bool* was_hit);

@@ -17,26 +17,33 @@ PageTable::PageTable(std::size_t page_size, std::size_t num_pages)
 
 const Page* PageTable::peek(std::size_t i) const { return map_.peek(i); }
 
-void PageTable::materialize_slot(PageRef& ref, std::size_t i) {
-  // Zero-fill-on-demand allocation, preferring a recycled frame.
+void PageTable::materialize_slot(PageRef& ref, std::size_t i, bool blind) {
+  // Demand allocation, preferring a recycled frame.
   bool pool_hit = false;
-  ref = PagePool::global().acquire_zeroed(page_size_, &pool_hit);
+  PagePool& pool = PagePool::global();
+  ref = blind ? pool.acquire_uninit(page_size_, &pool_hit)
+              : pool.acquire_zeroed(page_size_, &pool_hit);
   ++stats_.pages_allocated;
   map_.note_resident(i);
   ++(pool_hit ? stats_.pool_hits : stats_.pool_misses);
   MW_TRACE_EVENT(trace::EventKind::kPageAlloc, kNoPid, kNoPid, i);
 }
 
-void PageTable::cow_break_slot(PageRef& ref, std::size_t i) {
+void PageTable::cow_break_slot(PageRef& ref, std::size_t i, bool blind) {
   // COW break: the page is inherited or shared with a sibling world.
   // (slot_for_write path-copied any shared leaf first, so a page shared
   // through structural sharing is guaranteed to show use_count > 1 here.)
+  // The paper's copy (§2.3) keeps the bytes the child does not write; a
+  // blind write keeps none, so it still breaks sharing but copies nothing.
   bool pool_hit = false;
-  ref = PagePool::global().acquire_copy(*ref, &pool_hit);
+  PagePool& pool = PagePool::global();
+  ref = blind ? pool.acquire_uninit(page_size_, &pool_hit)
+              : pool.acquire_copy(*ref, &pool_hit);
+  const std::size_t copied = blind ? 0 : page_size_;
   ++stats_.pages_copied;
-  stats_.bytes_copied += page_size_;
+  stats_.bytes_copied += copied;
   ++(pool_hit ? stats_.pool_hits : stats_.pool_misses);
-  MW_TRACE_EVENT(trace::EventKind::kPageCopy, kNoPid, kNoPid, i, page_size_);
+  MW_TRACE_EVENT(trace::EventKind::kPageCopy, kNoPid, kNoPid, i, copied);
 }
 
 void PageTable::read(std::uint64_t off, std::span<std::uint8_t> dst) const {
@@ -64,7 +71,8 @@ void PageTable::write(std::uint64_t off, std::span<const std::uint8_t> src) {
     const std::size_t page = (off + done) / page_size_;
     const std::size_t in_page = (off + done) % page_size_;
     const std::size_t n = std::min(src.size() - done, page_size_ - in_page);
-    std::memcpy(write_page(page) + in_page, src.data() + done, n);
+    std::memcpy(writable(page, n == page_size_) + in_page, src.data() + done,
+                n);
     done += n;
   }
 }

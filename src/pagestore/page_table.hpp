@@ -23,9 +23,10 @@ namespace mw {
 /// Accounting for the COW machinery; feeds the paper's τ(overhead)
 /// decomposition and the write-fraction measurements (§3.4).
 struct CowStats {
-  std::uint64_t pages_allocated = 0;  // zero-fill-on-demand allocations
-  std::uint64_t pages_copied = 0;     // COW breaks (private copies made)
-  std::uint64_t bytes_copied = 0;     // data actually copied for COW breaks
+  std::uint64_t pages_allocated = 0;  // frames taken for absent pages
+  std::uint64_t pages_copied = 0;     // COW breaks (private frames taken)
+  std::uint64_t bytes_copied = 0;     // data actually copied for COW breaks;
+                                      // 0 for a break by a whole-page write
   std::uint64_t page_writes = 0;      // write operations (not distinct pages)
   std::uint64_t page_reads = 0;
   std::uint64_t pool_hits = 0;    // frames recycled from the PagePool
@@ -62,23 +63,14 @@ class PageTable {
   /// Writable pointer to page `i`, allocating or COW-copying as needed.
   /// Inline so the exclusively-owned-page fast path (cached leaf, no
   /// allocation, no COW break) compiles down to a few loads per write.
-  std::uint8_t* write_page(std::size_t i) {
-    PageMap::Slot slot = map_.slot_for_write(i);
-    PageRef& ref = *slot.page;
-    if (!ref) {
-      materialize_slot(ref, i);
-    } else if (ref.use_count() > 1) {
-      cow_break_slot(ref, i);
-    }
-    *slot.tag = ++gen_;
-    ++stats_.page_writes;
-    return ref->mutable_data();
-  }
+  std::uint8_t* write_page(std::size_t i) { return writable(i, false); }
 
   /// Reads `dst.size()` bytes at byte offset `off`; absent pages read as 0.
   void read(std::uint64_t off, std::span<std::uint8_t> dst) const;
 
-  /// Writes `src` at byte offset `off`, breaking sharing where needed.
+  /// Writes `src` at byte offset `off`, breaking sharing where needed. A
+  /// page the write covers whole is a blind write: its fresh frame is
+  /// neither copied from the shared page nor zero-filled.
   void write(std::uint64_t off, std::span<const std::uint8_t> src);
 
   /// COW fork: child shares every page with this table. O(1) — the child
@@ -168,10 +160,26 @@ class PageTable {
   void reset_stats() { stats_.reset(); }
 
  private:
-  /// Zero-fill-on-demand allocation into an empty slot (cold path).
-  void materialize_slot(PageRef& ref, std::size_t i);
-  /// Private copy of a page inherited from / shared with another world.
-  void cow_break_slot(PageRef& ref, std::size_t i);
+  /// Writable page `i`. With `blind` set the caller overwrites the whole
+  /// page, so a fresh frame needs neither the old bytes nor zeros.
+  std::uint8_t* writable(std::size_t i, bool blind) {
+    PageMap::Slot slot = map_.slot_for_write(i);
+    PageRef& ref = *slot.page;
+    if (!ref) {
+      materialize_slot(ref, i, blind);
+    } else if (ref.use_count() > 1) {
+      cow_break_slot(ref, i, blind);
+    }
+    *slot.tag = ++gen_;
+    ++stats_.page_writes;
+    return ref->mutable_data();
+  }
+  /// Demand allocation into an empty slot (cold path), zero-filled unless
+  /// `blind`.
+  void materialize_slot(PageRef& ref, std::size_t i, bool blind);
+  /// Private frame for a page inherited from / shared with another world,
+  /// holding a copy of it unless `blind`.
+  void cow_break_slot(PageRef& ref, std::size_t i, bool blind);
 
   std::size_t page_size_;
   PageMap map_;

@@ -34,7 +34,9 @@ class PageShard {
   static std::size_t current() { return bound_; }
 
  private:
-  static thread_local std::size_t bound_;
+  // Defined here, not in a .cpp: see DESIGN.md "Sharded pagestore" on
+  // why the binding has no out-of-line definition.
+  static inline thread_local std::size_t bound_ = kUnbound;
 };
 
 }  // namespace mw

@@ -1,47 +1,49 @@
 #include "proc/process_table.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace mw {
 
 ProcessTable::ProcessTable() = default;
 
+ProcessRecord* ProcessTable::find(Pid pid) {
+  if (pid == kNoPid || pid > records_.size()) return nullptr;
+  return &records_[pid - 1];
+}
+
+const ProcessRecord* ProcessTable::find(Pid pid) const {
+  return const_cast<ProcessTable*>(this)->find(pid);
+}
+
 Pid ProcessTable::create(Pid parent, std::uint64_t alt_group,
                          std::string label) {
   std::lock_guard<std::mutex> lk(mu_);
-  const Pid pid = next_pid_++;
-  ProcessRecord rec;
-  rec.pid = pid;
+  ProcessRecord& rec = records_.emplace_back();
+  rec.pid = static_cast<Pid>(records_.size());
   rec.parent = parent;
   rec.alt_group = alt_group;
   rec.label = std::move(label);
-  records_.emplace(pid, std::move(rec));
-  if (parent != kNoPid) {
-    auto it = records_.find(parent);
-    if (it != records_.end()) it->second.children.push_back(pid);
-  }
-  return pid;
+  if (ProcessRecord* p = find(parent)) p->children.push_back(rec.pid);
+  return rec.pid;
 }
 
 ProcessRecord ProcessTable::get(Pid pid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = records_.find(pid);
-  MW_CHECK(it != records_.end());
-  return it->second;
+  const ProcessRecord* rec = find(pid);
+  MW_CHECK(rec != nullptr);
+  return *rec;
 }
 
 bool ProcessTable::exists(Pid pid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return records_.count(pid) > 0;
+  return find(pid) != nullptr;
 }
 
 ProcStatus ProcessTable::status(Pid pid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = records_.find(pid);
-  MW_CHECK(it != records_.end());
-  return it->second.status;
+  const ProcessRecord* rec = find(pid);
+  MW_CHECK(rec != nullptr);
+  return rec->status;
 }
 
 bool ProcessTable::set_status(Pid pid, ProcStatus next) {
@@ -49,11 +51,11 @@ bool ProcessTable::set_status(Pid pid, ProcStatus next) {
   std::vector<StatusListener> listeners;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = records_.find(pid);
-    MW_CHECK(it != records_.end());
-    old = it->second.status;
+    ProcessRecord* rec = find(pid);
+    MW_CHECK(rec != nullptr);
+    old = rec->status;
     if (is_terminal(old)) return false;
-    it->second.status = next;
+    rec->status = next;
     listeners = listeners_;  // snapshot; invoke outside the lock
   }
   for (auto& fn : listeners) fn(pid, old, next);
@@ -66,9 +68,9 @@ Completion ProcessTable::complete(Pid pid) const {
 
 void ProcessTable::set_label(Pid pid, std::string label) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = records_.find(pid);
-  MW_CHECK(it != records_.end());
-  it->second.label = std::move(label);
+  ProcessRecord* rec = find(pid);
+  MW_CHECK(rec != nullptr);
+  rec->label = std::move(label);
 }
 
 void ProcessTable::subscribe(StatusListener fn) {
@@ -84,21 +86,14 @@ std::size_t ProcessTable::process_count() const {
 std::size_t ProcessTable::live_count() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;
-  for (const auto& [pid, rec] : records_)
+  for (const ProcessRecord& rec : records_)
     if (!is_terminal(rec.status)) ++n;
   return n;
 }
 
 std::vector<ProcessRecord> ProcessTable::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<ProcessRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [pid, rec] : records_) out.push_back(rec);
-  std::sort(out.begin(), out.end(),
-            [](const ProcessRecord& a, const ProcessRecord& b) {
-              return a.pid < b.pid;
-            });
-  return out;
+  return std::vector<ProcessRecord>(records_.begin(), records_.end());
 }
 
 }  // namespace mw

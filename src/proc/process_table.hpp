@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "proc/status.hpp"
@@ -71,9 +71,14 @@ class ProcessTable {
   std::vector<ProcessRecord> snapshot() const;
 
  private:
+  /// The record of `pid`, or null when no process has it.
+  ProcessRecord* find(Pid pid);
+  const ProcessRecord* find(Pid pid) const;
+
   mutable std::mutex mu_;
-  std::unordered_map<Pid, ProcessRecord> records_;
-  Pid next_pid_ = 1;
+  // Pids are dense from 1 and never reused, so pid p lives at index p - 1.
+  // A deque grows without moving (or copying) the records already stored.
+  std::deque<ProcessRecord> records_;
   std::vector<StatusListener> listeners_;
 };
 

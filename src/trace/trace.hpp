@@ -70,8 +70,9 @@ namespace mw::trace {
   /* Page traffic (src/pagestore). */                                         \
   X(kPageFork, 32, "page_fork")  /* a=resident pages at fork */               \
   X(kPageAdopt, 33, "page_adopt")  /* a=resident pages adopted */             \
-  X(kPageAlloc, 34, "page_alloc")  /* a=page index — zero-fill-on-demand */   \
-  X(kPageCopy, 35, "page_copy")  /* a=page index, b=bytes — one COW break */  \
+  X(kPageAlloc, 34, "page_alloc")  /* a=page index — demand allocation */     \
+  X(kPageCopy, 35, "page_copy")  /* a=page index, b=bytes copied — one COW    \
+                                    break; 0 for a whole-page write */        \
   /* Predicated delivery (src/msg). */                                        \
   X(kMsgAccept, 48, "msg_accept")                                             \
       /* pid=sender, a=receiver predicate count */                            \

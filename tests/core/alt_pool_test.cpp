@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
 #include "core/runtime.hpp"
+#include "core/runtime_auditor.hpp"
 #include "core/spec_scheduler.hpp"
+#include "pagestore/page.hpp"
+#include "trace/trace.hpp"
 
 namespace mw {
 namespace {
@@ -241,6 +247,142 @@ TEST(AltPool, StatusesAfterBlock) {
     EXPECT_EQ(rep.pages_copied, 0u);
   }
   EXPECT_EQ(revoked, 1);
+}
+
+TEST(AltPool, LosersReleaseTheirPagesBeforeTheBlockReturns) {
+  // Each loser breaks K shared pages, one with whole-page (blind) writes
+  // and one with partial stores; one fails, the other is cancelled. Both
+  // drop their worlds on their own workers, and none of their pages may
+  // outlive the block.
+  constexpr std::size_t kPages = 8;
+  const std::int64_t baseline = Page::live_instances();
+  RuntimeAuditor auditor;
+  RuntimeConfig cfg = pool_config();
+  cfg.pool.workers = 3;  // winner, failer and spinner all run at once
+  Runtime rt(cfg);
+  World root = rt.make_root();
+  auditor.add_world(root);
+  const std::vector<std::uint8_t> fill(cfg.page_size, 0x11);
+  for (std::size_t p = 0; p < 2 * kPages + 1; ++p)
+    root.space().write(p * cfg.page_size, fill);
+
+  std::atomic<bool> failer_done{false};
+  std::atomic<bool> spinner_wrote{false};
+  const std::vector<std::uint8_t> blind(cfg.page_size, 0x22);
+  trace::reset();
+  trace::set_enabled(true);
+  auto out = run_alternatives(
+      rt, root,
+      {Alternative{"winner", nullptr,
+                   [&](AltContext& ctx) {
+                     await(failer_done);
+                     await(spinner_wrote);
+                     ctx.space().store<int>(0, 7);
+                   },
+                   nullptr},
+       Alternative{"failer", nullptr,
+                   [&](AltContext& ctx) {
+                     for (std::size_t p = 1; p <= kPages; ++p)
+                       ctx.space().write(p * cfg.page_size, blind);
+                     failer_done = true;
+                     ctx.fail("lose");
+                   },
+                   nullptr},
+       Alternative{"spinner", nullptr,
+                   [&](AltContext& ctx) {
+                     for (std::size_t p = kPages + 1; p <= 2 * kPages; ++p)
+                       ctx.space().store<int>(p * cfg.page_size, 3);
+                     spinner_wrote = true;
+                     for (;;) ctx.checkpoint();  // unwinds when eliminated
+                   },
+                   nullptr}});
+  trace::set_enabled(false);
+  ASSERT_EQ(out.winner, 0u);
+
+  // Only the parent's pages are left: no loser page waits for teardown.
+  std::unordered_set<const Page*> reachable;
+  root.space().table().collect_pages(reachable);
+  EXPECT_EQ(Page::live_instances(),
+            baseline + static_cast<std::int64_t>(reachable.size()));
+
+  EXPECT_EQ(out.alts[1].pages_copied, kPages);
+  EXPECT_EQ(out.alts[2].pages_copied, kPages);
+#if !defined(MW_TRACE_DISABLED)
+  std::size_t ends = 0;
+  for (const trace::TraceEvent& e : trace::collect()) {
+    if (e.kind != trace::EventKind::kAltChildEnd) continue;
+    for (const AltReport& rep : out.alts) {
+      if (e.pid != rep.pid) continue;
+      EXPECT_EQ(e.b, rep.pages_copied) << rep.name;
+      ++ends;
+    }
+  }
+  EXPECT_EQ(ends, 3u);
+#endif
+  trace::reset();
+
+  EXPECT_EQ(rt.processes().status(out.alts[1].pid), ProcStatus::kFailed);
+  EXPECT_EQ(rt.processes().status(out.alts[2].pid), ProcStatus::kEliminated);
+  const AuditReport audit = auditor.run(rt.processes());
+  EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+TEST(AltPool, ALateLoserNeverWritesInPlaceWhatADroppedSiblingRead) {
+  // All three write page 129 (in leaf 2). The winner replaces leaf 2 and
+  // the page in its map; "early" copies both and drops its world; "late"
+  // still reaches the parent's old leaf 2 and page through its copy of the
+  // root, and writes the page only after the commit. The block keeps the
+  // parent's pre-commit map alive until every sibling has ended, so "late"
+  // still sees both shared and copies them, instead of writing in place
+  // over what "early" read: a data race, and one page copy short.
+  RuntimeConfig cfg = pool_config();
+  cfg.num_pages = 4 * 64;  // a two-level map: a root over four leaves
+  cfg.pool.workers = 3;
+  Runtime rt(cfg);
+  World root = rt.make_root();
+  for (std::size_t p = 0; p < cfg.num_pages; ++p)
+    root.space().store<int>(p * cfg.page_size, 1);
+  auto store = [&](AltContext& ctx, std::size_t page, int v) {
+    ctx.space().store<int>(page * cfg.page_size, v);
+  };
+
+  std::atomic<bool> early_wrote{false};
+  std::atomic<bool> late_forked{false};
+  std::atomic<bool> winner_done{false};
+  auto out = run_alternatives(
+      rt, root,
+      {Alternative{"winner", nullptr,
+                   [&](AltContext& ctx) {
+                     await(early_wrote);
+                     await(late_forked);
+                     store(ctx, 129, 4);
+                     winner_done = true;
+                   },
+                   nullptr},
+       Alternative{"early", nullptr,
+                   [&](AltContext& ctx) {
+                     store(ctx, 129, 2);
+                     early_wrote = true;
+                     ctx.fail("lose");
+                   },
+                   nullptr},
+       Alternative{"late", nullptr,
+                   [&](AltContext& ctx) {
+                     store(ctx, 64, 3);  // leaf 1: copies the root
+                     late_forked = true;
+                     await(winner_done);
+                     // Long enough for the commit and the early drop.
+                     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                     store(ctx, 129, 3);
+                     for (;;) ctx.checkpoint();  // unwinds when eliminated
+                   },
+                   nullptr}});
+  ASSERT_EQ(out.winner, 0u);
+  EXPECT_EQ(out.alts[2].pages_copied, 2u);
+  for (std::size_t p = 0; p < cfg.num_pages; ++p)
+    EXPECT_EQ(root.space().load<int>(p * cfg.page_size),
+              p == 129 ? 4 : 1)
+        << "page " << p;
 }
 
 }  // namespace

@@ -17,14 +17,15 @@
 namespace mw {
 namespace {
 
-// The pre-radix PageTable, verbatim semantics: flat slot vector, per-slot
-// touched bits, COW break on use_count > 1.
+// The pre-radix PageTable: flat slot vector, per-slot touched bits, COW
+// break on use_count > 1. One rule postdates it: a write covering a whole
+// page (a blind write) still breaks sharing but copies no bytes.
 class FlatRef {
  public:
   FlatRef(std::size_t page_size, std::size_t num_pages)
       : page_size_(page_size), slots_(num_pages), touched_(num_pages, false) {}
 
-  std::uint8_t* write_page(std::size_t i) {
+  std::uint8_t* write_page(std::size_t i, bool blind) {
     PageRef& slot = slots_[i];
     if (!slot) {
       slot = make_page(page_size_);
@@ -32,7 +33,7 @@ class FlatRef {
     } else if (slot.use_count() > 1) {
       slot = std::make_shared<Page>(*slot);
       ++stats_.pages_copied;
-      stats_.bytes_copied += page_size_;
+      if (!blind) stats_.bytes_copied += page_size_;
     }
     touched_[i] = true;
     ++stats_.page_writes;
@@ -46,7 +47,8 @@ class FlatRef {
       const std::size_t in_page = (off + done) % page_size_;
       const std::size_t n =
           std::min(src.size() - done, page_size_ - in_page);
-      std::memcpy(write_page(page) + in_page, src.data() + done, n);
+      std::memcpy(write_page(page, n == page_size_) + in_page,
+                  src.data() + done, n);
       done += n;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "pagestore/page_pool.hpp"
@@ -256,6 +257,70 @@ TEST(PageTable, RecycledFramesReadAsZero) {
   std::vector<std::uint8_t> want(kPageSize, 0);
   want[0] = 9;
   EXPECT_EQ(got, want);
+}
+
+// Every frame a table acquires is a pool hit or a pool miss.
+void expect_frames_accounted(const PageTable& t) {
+  EXPECT_EQ(t.stats().pool_hits + t.stats().pool_misses,
+            t.stats().pages_allocated + t.stats().pages_copied);
+}
+
+TEST(PageTable, BlindWriteBreaksSharingWithoutCopying) {
+  PageTable parent(64, 4);
+  parent.write(0, std::vector<std::uint8_t>(64, 0x11));
+  PageTable child = parent.fork();
+  child.write(0, std::vector<std::uint8_t>(64, 0x22));
+  EXPECT_EQ(child.stats().pages_copied, 1u);
+  EXPECT_EQ(child.stats().bytes_copied, 0u);
+  EXPECT_EQ(child.stats().pages_allocated, 0u);
+  expect_frames_accounted(child);
+  EXPECT_EQ(read_vec(child, 0, 64), std::vector<std::uint8_t>(64, 0x22));
+  EXPECT_EQ(read_vec(parent, 0, 64), std::vector<std::uint8_t>(64, 0x11));
+  EXPECT_EQ(child.shared_pages_with(parent), 0u);
+}
+
+TEST(PageTable, UnalignedSpanCopiesOnlyItsEdgePages) {
+  PageTable parent(64, 4);
+  parent.write(0, std::vector<std::uint8_t>(256, 0x11));
+  PageTable child = parent.fork();
+  // Bytes [32, 160): the tail of page 0, all of page 1, the head of page 2.
+  child.write(32, std::vector<std::uint8_t>(128, 0x22));
+  EXPECT_EQ(child.stats().pages_copied, 3u);
+  EXPECT_EQ(child.stats().bytes_copied, 2u * 64u);  // pages 0 and 2 only
+  expect_frames_accounted(child);
+  std::vector<std::uint8_t> want(256, 0x11);
+  std::fill(want.begin() + 32, want.begin() + 160, 0x22);
+  EXPECT_EQ(read_vec(child, 0, 256), want);
+  EXPECT_EQ(read_vec(parent, 0, 256), std::vector<std::uint8_t>(256, 0x11));
+  EXPECT_EQ(child.diff(parent), (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(PageTable, RecycledDirtyFrameServesABlindWrite) {
+  const std::size_t kPageSize = 72;  // private size class for this test
+  PagePool::global().clear();
+  {
+    PageTable dirty(kPageSize, 2);
+    dirty.write(0, std::vector<std::uint8_t>(2 * kPageSize, 0xEE));
+  }  // both dirty frames land in the pool
+  PageTable parent(kPageSize, 2);
+  std::vector<std::uint8_t> page(kPageSize);
+  for (std::size_t b = 0; b < kPageSize; ++b)
+    page[b] = static_cast<std::uint8_t>(b + 1);
+  parent.write(0, page);  // blind write into an absent slot
+  EXPECT_EQ(parent.stats().pages_allocated, 1u);
+  EXPECT_EQ(parent.stats().pool_hits, 1u);
+  EXPECT_EQ(read_vec(parent, 0, kPageSize), page);
+  EXPECT_EQ(read_vec(parent, kPageSize, kPageSize),
+            std::vector<std::uint8_t>(kPageSize, 0));
+
+  PageTable child = parent.fork();
+  std::reverse(page.begin(), page.end());
+  child.write(0, page);  // blind COW break into the second dirty frame
+  EXPECT_EQ(child.stats().pages_copied, 1u);
+  EXPECT_EQ(child.stats().bytes_copied, 0u);
+  EXPECT_EQ(child.stats().pool_hits, 1u);
+  expect_frames_accounted(child);
+  EXPECT_EQ(read_vec(child, 0, kPageSize), page);
 }
 
 TEST(CowStats, MergeCoversEveryFieldIncludingPoolCounters) {

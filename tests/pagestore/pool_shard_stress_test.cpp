@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/runtime_auditor.hpp"
@@ -146,6 +148,73 @@ TEST(PoolShardStress, ParallelSegmentCommitRoundsStayAuditorClean) {
     EXPECT_TRUE(auditor.run(procs).clean())
         << auditor.run(procs).to_string();
   }
+}
+
+TEST(PoolShardStress, SiblingsBlindWriteAndDropWhileAParentAdopts) {
+  // One round is one race: every sibling fork overwrites whole shared
+  // pages (blind COW breaks), the losers drop their tables on their own
+  // threads, and the parent adopts the winner while the losers are still
+  // writing or dropping — so refcounts of nodes and pages shared three
+  // ways fall on four threads at once. As in a kPool block, the map the
+  // siblings forked from stays alive until every sibling has ended: an
+  // in-place write trusts a relaxed use_count() of 1, which orders nothing
+  // after a sibling's drop, so no sibling may be the last holder of what
+  // another still reads.
+  constexpr std::size_t kPages = 4 * 64 + 3;  // a depth-2 tree
+  constexpr std::size_t kRounds = 12;
+  const std::int64_t baseline = Page::live_instances();
+  RuntimeAuditor auditor;
+  ProcessTable procs;
+  {
+    PageTable parent(kPageSize, kPages);
+    parent.write(0, std::vector<std::uint8_t>(kPages * kPageSize, 0x5A));
+
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const std::size_t winner = round % kThreads;
+      const PageTable forked_from = parent.fork();
+      std::vector<std::optional<PageTable>> kids;
+      for (std::size_t k = 0; k < kThreads; ++k)
+        kids.emplace_back(parent.fork());
+
+      std::atomic<bool> winner_done{false};
+      std::vector<std::thread> siblings;
+      for (std::size_t k = 0; k < kThreads; ++k) {
+        siblings.emplace_back([&, k] {
+          PageShard::bind(k);
+          const auto tag = static_cast<std::uint8_t>(round * kThreads + k);
+          const std::vector<std::uint8_t> page(kPageSize, tag);
+          // Strided so siblings break overlapping pages of shared leaves.
+          for (std::size_t p = k; p < kPages; p += 2)
+            kids[k]->write(p * kPageSize, page);
+          EXPECT_EQ(kids[k]->stats().bytes_copied, 0u);
+          if (k == winner) {
+            winner_done = true;
+          } else {
+            kids[k].reset();  // the loser's pages die on this thread
+          }
+          PageShard::unbind();
+        });
+      }
+      while (!winner_done) std::this_thread::yield();
+      parent.adopt(std::move(*kids[winner]));
+      for (auto& th : siblings) th.join();
+      kids.clear();
+
+      const auto tag = static_cast<std::uint8_t>(round * kThreads + winner);
+      for (std::size_t p = winner; p < kPages; p += 2) {
+        ASSERT_EQ(parent.peek(p)->data()[0], tag) << "round " << round;
+        ASSERT_EQ(parent.peek(p)->data()[kPageSize - 1], tag);
+      }
+    }
+    std::unordered_set<const Page*> reachable;
+    parent.collect_pages(reachable);
+    EXPECT_EQ(Page::live_instances(),
+              baseline + static_cast<std::int64_t>(reachable.size()));
+    auditor.add_table(parent);
+    EXPECT_TRUE(auditor.run(procs).clean())
+        << auditor.run(procs).to_string();
+  }
+  EXPECT_EQ(Page::live_instances(), baseline);
 }
 
 }  // namespace

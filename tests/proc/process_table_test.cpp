@@ -114,5 +114,54 @@ TEST(ProcessTable, ListenerRunsOutsideLock) {
   EXPECT_TRUE(t.set_status(p, ProcStatus::kRunning));
 }
 
+TEST(ProcessTable, NoPidAndPidsPastTheEndDoNotExist) {
+  ProcessTable t;
+  EXPECT_FALSE(t.exists(kNoPid));
+  EXPECT_FALSE(t.exists(1));
+  const Pid a = t.create(kNoPid);
+  const Pid b = t.create(a);
+  EXPECT_FALSE(t.exists(kNoPid));
+  EXPECT_TRUE(t.exists(a));
+  EXPECT_TRUE(t.exists(b));
+  EXPECT_FALSE(t.exists(b + 1));  // the next pid, not yet created
+  EXPECT_FALSE(t.exists(static_cast<Pid>(-1)));
+  // A parent pid the table never handed out links nothing.
+  const Pid orphan = t.create(b + 5);
+  EXPECT_EQ(t.get(orphan).parent, b + 5);
+  EXPECT_EQ(t.process_count(), 3u);
+}
+
+TEST(ProcessTable, ManyCreatesKeepTheirLinks) {
+  ProcessTable t;
+  constexpr Pid kCount = 100000;
+  const Pid root = t.create(kNoPid);
+  Pid prev = root;
+  for (Pid i = 1; i < kCount; ++i) {
+    // Every odd pid hangs off the root, every even one off its predecessor.
+    const Pid parent = i % 2 ? root : prev;
+    prev = t.create(parent, i);
+    ASSERT_EQ(prev, i + 1);
+  }
+  EXPECT_EQ(t.process_count(), kCount);
+  EXPECT_EQ(t.get(root).children.size(), kCount / 2);
+  for (Pid pid = 2; pid <= kCount; pid += 9973) {
+    const ProcessRecord rec = t.get(pid);
+    EXPECT_EQ(rec.pid, pid);
+    EXPECT_EQ(rec.alt_group, pid - 1);
+    EXPECT_EQ(rec.parent, (pid - 1) % 2 ? root : pid - 1);
+  }
+  EXPECT_EQ(t.get(kCount - 2).children, (std::vector<Pid>{kCount - 1}));
+  const std::vector<ProcessRecord> all = t.snapshot();
+  ASSERT_EQ(all.size(), kCount);
+  for (Pid pid = 1; pid <= kCount; ++pid) ASSERT_EQ(all[pid - 1].pid, pid);
+}
+
+TEST(ProcessTableDeath, UnknownPidAborts) {
+  ProcessTable t;
+  const Pid p = t.create(kNoPid);
+  EXPECT_DEATH((void)t.get(kNoPid), "MW_CHECK");
+  EXPECT_DEATH((void)t.status(p + 1), "MW_CHECK");
+}
+
 }  // namespace
 }  // namespace mw
