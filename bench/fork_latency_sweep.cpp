@@ -24,6 +24,7 @@
 //                        [--json=BENCH_fork_latency_sweep.json]
 //                        [--trace=FILE] [--profile]
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -55,7 +56,9 @@ class FlatTable {
     if (!slot) {
       slot = make_page(page_size_);
     } else if (slot.use_count() > 1) {
-      slot = std::make_shared<Page>(*slot);
+      PageRef copy = make_page(page_size_);
+      std::memcpy(copy->mutable_data(), slot->data(), page_size_);
+      slot = std::move(copy);
     }
     touched_[i] = true;
   }

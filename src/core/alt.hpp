@@ -33,10 +33,12 @@ enum GuardPhase : unsigned {
 /// How losing siblings are eliminated (§2.2.1). Asynchronous elimination
 /// gives better execution time at the expense of throughput. On kPool
 /// elimination is cooperative: a running loser unwinds at its next
-/// checkpoint, and the block returns only after it has, in either mode. A
-/// loser that never checkpoints delays the block until it finishes;
-/// alternatives that must be killable without cooperation belong on
-/// PosixAltBlock (core/alt_posix.hpp), which SIGKILLs the losers.
+/// checkpoint, and the block commits the winner only after every sibling
+/// has ended, in either mode (the siblings borrow the parent's pages until
+/// then); the mode decides only whether the elimination overhead includes
+/// that wait. A loser that never checkpoints delays the commit until it
+/// finishes; alternatives that must be killable without cooperation belong
+/// on PosixAltBlock (core/alt_posix.hpp), which SIGKILLs the losers.
 enum class Elimination { kSynchronous, kAsynchronous };
 
 /// Which in-process engine executes the block.

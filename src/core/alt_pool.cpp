@@ -4,15 +4,16 @@
 // before any world is forked, alternatives submitted as prioritized tasks
 // in the policy's plan order, the at-most-once sync point with
 // winner-side revocation of queued siblings, the helping wait, the commit,
-// the losers' settlement and the scrub-before-release teardown. A losing
-// child drops its own world on the worker that ran it.
+// the losers' settlement and the scrub-before-release teardown. Children
+// borrow the parent's pages (scoped forks), so the block commits only
+// after every sibling has ended. A losing child drops its own world on the
+// worker that ran it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "core/alt_block.hpp"
 #include "core/runtime.hpp"
@@ -83,7 +84,10 @@ struct SyncPoint {
 };
 
 /// Forks one world per spawned alternative (`pids[k]` for `spawned[k]`),
-/// marking each kRunning, and charges the serial fork time as setup.
+/// marking each kRunning, and charges the serial fork time as setup. The
+/// forks are scoped: they borrow the parent's pages, which the parent's
+/// own map holds unchanged until the block commits after every sibling
+/// has ended.
 std::vector<World> spawn_worlds(ProcessTable& table, World& parent,
                                 const std::vector<std::size_t>& spawned,
                                 const std::vector<Pid>& pids,
@@ -97,11 +101,17 @@ std::vector<World> spawn_worlds(ProcessTable& table, World& parent,
   for (std::size_t k = 0; k < pids.size(); ++k) {
     MW_TRACE_EVENT(trace::EventKind::kAltSpawn, pids[k], parent.pid(), group,
                    spawned[k] + 1, static_cast<VTime>(clock.elapsed_us()));
-    worlds.push_back(parent.fork_alternative(pids[k], pids));
+    worlds.push_back(parent.fork_scoped_alternative(pids[k], pids));
     table.set_status(pids[k], ProcStatus::kRunning);
   }
   out.overhead.setup = static_cast<VDuration>(setup_clock.elapsed_us());
   return worlds;
+}
+
+/// Drops `w`'s pages, keeping its geometry.
+void drop_space(World& w) {
+  w.space() = AddressSpace(w.space().page_size(),
+                           w.space().table().num_pages());
 }
 
 /// alt_wait's rendezvous: records alternative `wi` (pid `pid`, world
@@ -282,12 +292,10 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
         prune_siblings(k);
       } else {
         // A loser's world dies here, on the worker that ran it, so its
-        // pages' refcount drops hit caches that just did the increments
-        // and its frames recycle into this worker's pool shard. It is gone
-        // before the end is published, so every loser's pages are gone
-        // once the block has seen all ends — before it returns.
-        child.space() = AddressSpace(child.space().page_size(),
-                                     child.space().table().num_pages());
+        // frames recycle into this worker's pool shard. It is gone before
+        // the end is published, so every loser's pages are gone once the
+        // block has seen all ends — before it commits.
+        drop_space(child);
       }
       sync->publish(k, end);
     };
@@ -367,13 +375,6 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     }
   }
 
-  // The parent's pre-commit page map, kept alive until every sibling has
-  // ended. A sibling writes a radix node or page in place once its
-  // use_count() reads 1, and that read is relaxed: it is not ordered after
-  // another sibling's reads of the object and the drop of that sibling's
-  // world. While this map holds everything the siblings forked from, each
-  // shared object keeps a count of at least 2 and is never written in place.
-  std::optional<PageTable> forked_from;
   if (wk >= 0) {
     // The winner already pruned its queued siblings; sweep again from the
     // parent to catch any sibling submitted after the winner's pass, then
@@ -383,22 +384,31 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
     if (opts.elimination == Elimination::kSynchronous)
       wait_for_pred(all_terminal, false);
     out.overhead.elimination = static_cast<VDuration>(elim_clock.elapsed_us());
-
-    const auto wku = static_cast<std::size_t>(wk);
-    forked_from.emplace(parent.space().table());
-    commit_winner(table, parent, spawned[wku], sibling_pids[wku],
-                  worlds[wku], results[wku], out);
   } else if (decided_in_time) {
     out.failed = true;
     out.failure = AltFailure::kAllFailed;
   }
-  out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
 
   // The pool's equivalent of joining the threads: every task must be
-  // terminal before the worlds vector leaves scope. Running losers unwind
-  // at their next checkpoint; revoked ones are already terminal.
+  // terminal before the worlds vector leaves scope, and before the commit.
+  // Running losers unwind at their next checkpoint; revoked ones are
+  // already terminal. Until the commit the parent's map holds everything
+  // the siblings forked from, unchanged, so each page a sibling borrows is
+  // also counted there, and each shared node or page keeps a count of at
+  // least 2: no sibling writes in place what another still reads.
   wait_for_pred(all_terminal, false);
-  forked_from.reset();
+
+  if (wk >= 0) {
+    // The forks that never ran go first, so the winner is the only holder
+    // of the parent leaves it borrowed from once the commit drops the
+    // parent's old map: settling then takes over their counts.
+    const auto wku = static_cast<std::size_t>(wk);
+    for (std::size_t k = 0; k < m; ++k)
+      if (k != wku) drop_space(worlds[k]);
+    commit_winner(table, parent, spawned[wku], sibling_pids[wku],
+                  worlds[wku], results[wku], out);
+  }
+  out.elapsed = static_cast<VDuration>(block_clock.elapsed_us());
 
   for (std::size_t k = 0; k < m; ++k) {
     const bool won = static_cast<int>(k) == wk;
@@ -410,9 +420,9 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
                  static_cast<VTime>(block_clock.elapsed_us()));
 
   // Drop terminal task records of this race still parked in the deques,
-  // then destroy this block's worlds before giving the grant back. The
-  // losers that ran already dropped their pages on their workers; what is
-  // left are the forks that never ran, which own no page of their own.
+  // then destroy this block's worlds before giving the grant back. Every
+  // world's pages are gone already; what is left are empty shells (and,
+  // after a timeout, the forks that never ran, which own no page).
   // Releasing first would let a new race admit while the old one's worlds
   // still exist, transiently blowing the max_live_worlds budget.
   sched.scrub(group);

@@ -20,10 +20,22 @@ World::World(ProcessTable& table, Pid pid, AddressSpace space,
 
 World World::fork_alternative(Pid self_pid,
                               const std::vector<Pid>& sibling_pids) {
+  return alternative(self_pid, sibling_pids, false);
+}
+
+World World::fork_scoped_alternative(Pid self_pid,
+                                     const std::vector<Pid>& sibling_pids) {
+  return alternative(self_pid, sibling_pids, true);
+}
+
+World World::alternative(Pid self_pid, const std::vector<Pid>& sibling_pids,
+                         bool scoped) {
   PredicateSet child_preds =
       PredicateSet::for_alternative(preds_, self_pid, sibling_pids);
   MW_TRACE_EVENT(trace::EventKind::kWorldFork, self_pid, pid_);
-  return World(*table_, self_pid, space_.fork(), std::move(child_preds));
+  return World(*table_, self_pid,
+               scoped ? space_.fork_scoped() : space_.fork(),
+               std::move(child_preds));
 }
 
 World World::clone_with_predicates(PredicateSet preds,

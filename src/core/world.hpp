@@ -42,6 +42,13 @@ class World {
   /// and carries the sibling-rivalry predicate set.
   World fork_alternative(Pid self_pid, const std::vector<Pid>& sibling_pids);
 
+  /// fork_alternative for a child that lives only inside this world's
+  /// block (the kPool engine): the child's pages are borrowed from this
+  /// world (AddressSpace::fork_scoped), so this world must not be written
+  /// until every such child has been committed or dropped.
+  World fork_scoped_alternative(Pid self_pid,
+                                const std::vector<Pid>& sibling_pids);
+
   /// Clones this world with explicit predicates — used by the message layer
   /// when a receiver must be split (§2.4.2).
   World clone_with_predicates(PredicateSet preds, std::string label) const;
@@ -85,6 +92,10 @@ class World {
 
  private:
   World(ProcessTable& table, Pid pid, AddressSpace space, PredicateSet preds);
+
+  /// The alternative child with pid `self_pid`; `scoped` borrows.
+  World alternative(Pid self_pid, const std::vector<Pid>& sibling_pids,
+                    bool scoped);
 
   ProcessTable* table_;
   Pid pid_;

@@ -24,6 +24,10 @@ constexpr std::uint64_t kStepOffset = 0;  // within segment "race"
 constexpr std::uint64_t kAccOffset = 8;
 constexpr std::uint64_t kScratchPages = 8;
 
+// Rounds of join retries (each a full RetryPolicy budget) before a worker
+// that never reached its coordinator gives up as an orphan.
+constexpr std::size_t kJoinRounds = 3;
+
 std::uint64_t step_once(std::uint64_t acc, std::uint64_t step) {
   return acc * kStepMultiplier + step;
 }
@@ -59,13 +63,34 @@ RaceWorker::RaceWorker(Transport& transport, NodeId self, NodeId coordinator,
       channel_(transport, self, config.retry, config.health, config.seed) {
   channel_.set_handler(
       [this](NodeId from, const Bytes& payload) { on_payload(from, payload); });
-  channel_.watch_peer(coordinator_);
   channel_.enable_heartbeats([this](NodeId peer, PeerState state) {
     // An orphaned worker must exit, not spin: a dead coordinator means
     // nobody will ever collect a result or send kShutdown.
     if (peer == coordinator_ && state == PeerState::kDead) done_ = true;
   });
-  channel_.send(coordinator_, encode_join());
+  send_join();
+}
+
+void RaceWorker::send_join() {
+  // The coordinator beats only the workers it has heard from, so its
+  // silence says nothing until it has acknowledged the join: the worker
+  // starts judging its liveness then. A join still being retransmitted on
+  // a lossy link may take longer than the dead timeout. A join whose
+  // retries run out is sent again; after kJoinRounds the worker is an
+  // orphan and exits.
+  channel_.send(
+      coordinator_, encode_join(),
+      /*on_delivered=*/[this] {
+        if (!done_) channel_.watch_peer(coordinator_);
+      },
+      /*on_failed=*/[this] {
+        if (done_) return;
+        if (++join_rounds_ < kJoinRounds) {
+          send_join();
+        } else {
+          done_ = true;
+        }
+      });
 }
 
 void RaceWorker::kill() {

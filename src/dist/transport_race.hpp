@@ -88,9 +88,10 @@ struct RaceOutcome {
 
 /// One worker endpoint: joins a coordinator, executes kFork'd alternatives
 /// in timer slices, ships deltas, reports results. Drive the owning
-/// transport's run()/run_until(); done() turns true on kShutdown or when
-/// the coordinator goes heartbeat-dead (an orphaned worker must exit, not
-/// spin forever).
+/// transport's run()/run_until(); done() turns true on kShutdown, when the
+/// coordinator goes heartbeat-dead after acknowledging the join, or when
+/// the join never gets through (an orphaned worker must exit, not spin
+/// forever).
 class RaceWorker {
  public:
   RaceWorker(Transport& transport, NodeId self, NodeId coordinator,
@@ -119,6 +120,7 @@ class RaceWorker {
     std::uint64_t scratch_size = 0;
   };
 
+  void send_join();
   void on_payload(NodeId from, const Bytes& payload);
   void start_task(const Bytes& payload);
   void run_slice(std::uint64_t alt);
@@ -131,6 +133,7 @@ class RaceWorker {
   RaceConfig config_;
   TransportChannel channel_;
   std::map<std::uint64_t, Task> tasks_;
+  std::size_t join_rounds_ = 0;  // join sends whose retries ran out
   bool done_ = false;
 };
 

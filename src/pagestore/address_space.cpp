@@ -30,11 +30,11 @@ void AddressSpace::set_segments(std::vector<Segment> segs,
 AddressSpace AddressSpace::fork() const {
   // O(1) in address-space size: the page table fork is a radix-tree root
   // share; only the (small) segment directory is copied eagerly.
-  AddressSpace child(page_size(), table_.num_pages());
-  child.table_ = table_.fork();
-  child.segments_ = segments_;
-  child.next_free_ = next_free_;
-  return child;
+  return AddressSpace(table_.fork(), segments_, next_free_);
+}
+
+AddressSpace AddressSpace::fork_scoped() const {
+  return AddressSpace(table_.fork_scoped(), segments_, next_free_);
 }
 
 void AddressSpace::adopt(AddressSpace&& child) {

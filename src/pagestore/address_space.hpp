@@ -77,6 +77,10 @@ class AddressSpace {
   /// O(1) in address-space size (persistent page-map root share).
   AddressSpace fork() const;
 
+  /// fork() for a child that lives only inside this space's alternative
+  /// block: its page table borrows (PageTable::fork_scoped).
+  AddressSpace fork_scoped() const;
+
   /// Commit a child's state into this space (page-map root replacement,
   /// O(1) in address-space size).
   void adopt(AddressSpace&& child);
@@ -112,6 +116,12 @@ class AddressSpace {
   PageTable& table() { return table_; }
 
  private:
+  AddressSpace(PageTable table, std::vector<Segment> segments,
+               std::uint64_t next_free)
+      : table_(std::move(table)),
+        segments_(std::move(segments)),
+        next_free_(next_free) {}
+
   PageTable table_;
   std::vector<Segment> segments_;
   std::uint64_t next_free_ = 0;

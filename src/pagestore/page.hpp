@@ -7,9 +7,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <cstdlib>
 #include <utility>
-#include <vector>
 
 #include "pagestore/shard.hpp"
 
@@ -60,63 +59,140 @@ class PageLedger {
 
 inline PageLedger::Counter PageLedger::counters_[PageLedger::kShards]{};
 
+class PagePool;
+class PageRef;
+
 /// A page is a fixed-size byte block. Pages are *immutable while shared*:
 /// the owning PageTable may mutate a page only when it holds the sole
 /// reference; otherwise it must copy first (copy-on-write). That discipline
 /// is enforced by PageTable, not by this type.
 ///
-/// Every live Page is counted in a process-wide ledger (PageLedger, above)
+/// A page is one allocation: this 16-byte header (reference count, size,
+/// owning pool) followed by the page's bytes. It is not a value type: a
+/// page is made by make_page or a PagePool, reached through PageRef, and
+/// dies when its last reference drops — back into the pool that made it,
+/// or to the system allocator. A pooled block that holds no page is not a
+/// Page as far as the ledger is concerned.
+///
+/// Every live page is counted in a process-wide ledger (PageLedger, above)
 /// so the runtime auditor can prove that eliminated worlds released their
 /// pages (a leaked ref would pin memory for the lifetime of the
-/// speculation tree). The ledger counts *objects*, not copies of their
-/// contents, so every special member below is written out explicitly:
-/// construction (from any source) increments, destruction decrements, and
-/// assignment — which neither creates nor destroys a Page — leaves the
-/// count alone.
+/// speculation tree): a block becoming a page counts +1, the drop of its
+/// last reference -1.
 class Page {
  public:
-  explicit Page(std::size_t size) : data_(size, 0) { PageLedger::add(1); }
+  Page(const Page&) = delete;
+  Page& operator=(const Page&) = delete;
 
-  /// Adopts an existing buffer (the PagePool recycling path). The buffer's
-  /// contents are taken as-is; callers zero or overwrite as needed.
-  explicit Page(std::vector<std::uint8_t> buf) : data_(std::move(buf)) {
-    PageLedger::add(1);
+  std::size_t size() const { return size_; }
+  const std::uint8_t* data() const {
+    return reinterpret_cast<const std::uint8_t*>(this + 1);
   }
-
-  Page(const Page& other) : data_(other.data_) { PageLedger::add(1); }
-  Page(Page&& other) noexcept : data_(std::move(other.data_)) {
-    PageLedger::add(1);
+  std::uint8_t* mutable_data() {
+    return reinterpret_cast<std::uint8_t*>(this + 1);
   }
-  Page& operator=(const Page& other) {
-    data_ = other.data_;
-    return *this;
-  }
-  Page& operator=(Page&& other) noexcept {
-    data_ = std::move(other.data_);
-    return *this;
-  }
-  ~Page() { PageLedger::add(-1); }
-
-  std::size_t size() const { return data_.size(); }
-  const std::uint8_t* data() const { return data_.data(); }
-  std::uint8_t* mutable_data() { return data_.data(); }
-
-  /// Steals the underlying buffer (leaves this page empty). Used by the
-  /// PagePool deleter to salvage the frame of a dying page; the Page itself
-  /// stays in the ledger until it is actually destroyed.
-  std::vector<std::uint8_t> steal_buffer() { return std::move(data_); }
 
   /// Pages currently alive in this process (sharded ledger, merge-on-read).
   static std::int64_t live_instances() { return PageLedger::total(); }
 
  private:
-  std::vector<std::uint8_t> data_;
+  friend class PageRef;
+  friend class PagePool;
+  friend PageRef make_page(std::size_t size);
+
+  explicit Page(std::size_t size) : size_(static_cast<std::uint32_t>(size)) {}
+
+  /// A block of `size` bytes, zeroed when `zeroed` (calloc) — not yet a
+  /// page. Aborts when the allocator fails.
+  static Page* alloc_block(std::size_t size, bool zeroed);
+  static void free_block(Page* block) { std::free(block); }
+
+  /// Turns a block into a live page with one reference, owned by `pool`
+  /// (null: freed when the last reference drops).
+  static Page* revive(Page* block, PagePool* pool) {
+    block->refs_.store(1, std::memory_order_relaxed);
+    block->pool_ = pool;
+    PageLedger::add(1);
+    return block;
+  }
+
+  void retain() { refs_.fetch_add(1, std::memory_order_relaxed); }
+  void release() {
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) die();
+  }
+  /// The last reference dropped: leave the ledger, then return the block
+  /// to its pool or free it (page_pool.cpp).
+  void die();
+
+  std::atomic<std::uint32_t> refs_{0};
+  std::uint32_t size_;
+  PagePool* pool_ = nullptr;
+  // The page's bytes follow the header.
 };
 
-using PageRef = std::shared_ptr<Page>;
+static_assert(sizeof(Page) == 16);
 
+/// An intrusive reference to a Page: 8 bytes, a relaxed increment on copy
+/// and an acq_rel decrement on drop, so a count of 1 read with acquire
+/// (use_count) orders every other holder's accesses before an in-place
+/// write.
+class PageRef {
+ public:
+  PageRef() = default;
+  PageRef(std::nullptr_t) {}  // null converts implicitly, as to a pointer
+  PageRef(const PageRef& o) : p_(o.p_) {
+    if (p_) p_->retain();
+  }
+  PageRef(PageRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  PageRef& operator=(PageRef o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~PageRef() {
+    if (p_) p_->release();
+  }
+
+  /// Wraps `p` without taking a count: either the count `p` already holds
+  /// for this reference, or none at all for a borrowed slot, which must be
+  /// detach()ed rather than dropped.
+  static PageRef adopt(Page* p) {
+    PageRef r;
+    r.p_ = p;
+    return r;
+  }
+  /// Gives up the pointer without dropping a count.
+  Page* detach() { return std::exchange(p_, nullptr); }
+  /// Takes one more count on the page — a borrowed slot becoming counted.
+  void retain() const { p_->retain(); }
+
+  Page* get() const { return p_; }
+  Page& operator*() const { return *p_; }
+  Page* operator->() const { return p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+  long use_count() const {
+    return p_ ? static_cast<long>(p_->refs_.load(std::memory_order_acquire))
+              : 0;
+  }
+  void reset() { PageRef().swap(*this); }
+  void swap(PageRef& o) noexcept { std::swap(p_, o.p_); }
+
+  friend bool operator==(const PageRef& a, const PageRef& b) {
+    return a.p_ == b.p_;
+  }
+  friend bool operator==(const PageRef& a, std::nullptr_t) {
+    return a.p_ == nullptr;
+  }
+
+ private:
+  Page* p_ = nullptr;
+};
+
+static_assert(sizeof(PageRef) == 8);
+
+/// A zero-filled page of `size` bytes owned by no pool: its block is freed
+/// when the last reference drops.
 inline PageRef make_page(std::size_t size) {
-  return std::make_shared<Page>(size);
+  return PageRef::adopt(Page::revive(Page::alloc_block(size, true), nullptr));
 }
 
 }  // namespace mw

@@ -1,6 +1,7 @@
 #include "pagestore/page_map.hpp"
 
 #include <array>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -13,11 +14,16 @@ namespace mw {
 // control block and slots in one allocation and a path copy costs exactly
 // one allocation per node; a leaf carries no child array and an inner node
 // no page array. Shared nodes are immutable: slot_for_write clones any node
-// whose use_count exceeds 1 before descending through it.
+// whose use_count exceeds 1 before descending through it. settle() is the
+// one exception: it rewrites only ownership bookkeeping, and only in nodes
+// no other map reaches.
 struct PageMap::Node {
   explicit Node(bool is_leaf) : leaf(is_leaf) {}
 
   const bool leaf;
+  // A leaf: it holds a source. An inner node: some leaf below may (set on
+  // every inner node a borrowing map walks through; copies inherit it).
+  bool borrows = false;
   std::size_t resident = 0;  // resident pages in this whole subtree
 };
 
@@ -27,9 +33,45 @@ struct PageMap::Inner : Node {
 };
 
 struct PageMap::Leaf : Node {
+  struct Borrow {};
+
   Leaf() : Node(true) {}
+
+  // A counted copy: every page gains a count and nothing is borrowed, so
+  // the copy is self-contained whatever `o` borrows.
+  Leaf(const Leaf& o) : Node(true), pages(o.pages), tags(o.tags) {
+    resident = o.resident;
+  }
+
+  // A borrowing copy of the leaf `from` points to: the same pages and
+  // tags, none of them counted, kept alive by holding `from`.
+  Leaf(Borrow, NodeRef from) : Node(true) {
+    const Leaf& o = as_leaf(*from);
+    resident = o.resident;
+    tags = o.tags;
+    for (std::size_t i = 0; i < kFanout; ++i) {
+      if (Page* p = o.pages[i].get()) {
+        pages[i] = PageRef::adopt(p);
+        borrowed |= std::uint64_t{1} << i;
+      }
+    }
+    if (borrowed != 0) {
+      src = std::move(from);
+      borrows = true;
+    }
+  }
+
+  Leaf& operator=(const Leaf&) = delete;
+
+  ~Leaf() {
+    for (std::uint64_t b = borrowed; b != 0; b &= b - 1)
+      pages[static_cast<std::size_t>(std::countr_zero(b))].detach();
+  }
+
   std::array<PageRef, kFanout> pages;
   std::array<std::uint64_t, kFanout> tags{};  // parallel to pages
+  std::uint64_t borrowed = 0;  // slots whose page this leaf does not count
+  NodeRef src;                 // the leaf borrowed from; null if none
 };
 
 PageMap::Inner& PageMap::as_inner(Node& n) { return static_cast<Inner&>(n); }
@@ -62,16 +104,20 @@ PageMap::PageMap(std::size_t num_pages) : num_pages_(num_pages), depth_(1) {
 PageMap::PageMap(const PageMap& o)
     : num_pages_(o.num_pages_), depth_(o.depth_), root_(o.root_) {
   // The copy shares every node with `o`: neither side may keep a cached
-  // exclusively-owned leaf.
+  // exclusively-owned leaf, and `o` stops borrowing — its leaves are now
+  // reachable from a map that may outlive the block.
   o.cached_pages_.store(nullptr, std::memory_order_relaxed);
+  o.borrowing_.store(false, std::memory_order_relaxed);
 }
 
 PageMap::PageMap(PageMap&& o) noexcept
     : num_pages_(o.num_pages_),
       depth_(o.depth_),
       root_(std::move(o.root_)),
+      borrowing_(o.borrowing_.load(std::memory_order_relaxed)),
       cached_pages_(o.cached_pages_.load(std::memory_order_relaxed)),
       cached_tags_(o.cached_tags_),
+      cached_borrowed_(o.cached_borrowed_),
       cached_prefix_(o.cached_prefix_) {
   // Ownership transferred wholesale: the cache stays valid here, but the
   // moved-from map must never serve it again.
@@ -84,6 +130,8 @@ PageMap& PageMap::operator=(const PageMap& o) {
   root_ = o.root_;
   cached_pages_.store(nullptr, std::memory_order_relaxed);
   o.cached_pages_.store(nullptr, std::memory_order_relaxed);
+  borrowing_.store(false, std::memory_order_relaxed);
+  o.borrowing_.store(false, std::memory_order_relaxed);
   return *this;
 }
 
@@ -91,9 +139,12 @@ PageMap& PageMap::operator=(PageMap&& o) noexcept {
   num_pages_ = o.num_pages_;
   depth_ = o.depth_;
   root_ = std::move(o.root_);
+  borrowing_.store(o.borrowing_.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
   cached_pages_.store(o.cached_pages_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   cached_tags_ = o.cached_tags_;
+  cached_borrowed_ = o.cached_borrowed_;
   cached_prefix_ = o.cached_prefix_;
   o.cached_pages_.store(nullptr, std::memory_order_relaxed);
   return *this;
@@ -115,6 +166,7 @@ const Page* PageMap::peek(std::size_t i) const {
 PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
   MW_CHECK(i < num_pages_);
   const std::size_t prefix = i >> kFanoutBits;
+  const bool borrow = borrowing();
   NodeRef* link = &root_;
   for (int level = 0;; ++level) {
     const bool at_leaf = (level + 1 == depth_);
@@ -127,9 +179,10 @@ PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
     } else if (link->use_count() > 1) {
       // Path copy: this node is shared with a forked sibling/ancestor map.
       // Cloning copies kFanout child/page references but no page data, in
-      // one allocation.
+      // one allocation; a borrowing map's leaf copy counts no page.
       if (at_leaf) {
-        *link = std::make_shared<Leaf>(as_leaf(**link));
+        *link = borrow ? std::make_shared<Leaf>(Leaf::Borrow{}, *link)
+                       : std::make_shared<Leaf>(as_leaf(**link));
       } else {
         *link = std::make_shared<Inner>(as_inner(**link));
       }
@@ -142,9 +195,12 @@ PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
       // the inline fast path on the next write.
       cached_prefix_ = prefix;
       cached_tags_ = n.tags.data();
+      cached_borrowed_ = &n.borrowed;
       cached_pages_.store(n.pages.data(), std::memory_order_relaxed);
-      return Slot{&n.pages[idx], &n.tags[idx]};
+      return Slot{&n.pages[idx], &n.tags[idx], &n.borrowed,
+                  std::uint64_t{1} << idx};
     }
+    if (borrow) (*link)->borrows = true;  // settle() must look below
     link = &as_inner(**link).children[idx];
   }
 }
@@ -161,6 +217,45 @@ void PageMap::note_resident(std::size_t i) {
 }
 
 std::size_t PageMap::resident() const { return root_ ? root_->resident : 0; }
+
+void PageMap::settle() { settle_rec(root_); }
+
+// Settles the part of the subtree at `link` that no other map reaches;
+// returns whether anything below still borrows.
+bool PageMap::settle_rec(NodeRef& link) {
+  Node* n = link.get();
+  if (n == nullptr || !n->borrows) return false;
+  if (link.use_count() > 1) return true;  // shared: leave it as it is
+  if (n->leaf) {
+    settle_leaf(as_leaf(*n));
+    return n->borrows;
+  }
+  bool below = false;
+  for (NodeRef& c : as_inner(*n).children) below = settle_rec(c) || below;
+  n->borrows = below;
+  return below;
+}
+
+void PageMap::settle_leaf(Leaf& l) {
+  if (l.src.use_count() == 1) {
+    // The only holder of the source: its counts for the slots borrowed
+    // here become this leaf's, so dropping the source frees exactly the
+    // pages this leaf replaced. Slots the source borrows in turn stay
+    // borrowed, from the source's own source.
+    Leaf& s = as_leaf(*l.src);
+    const std::uint64_t take = l.borrowed & ~s.borrowed;
+    s.borrowed |= take;
+    l.borrowed &= ~take;
+    NodeRef next = l.borrowed != 0 ? s.src : nullptr;
+    l.src = std::move(next);
+  } else {
+    for (std::uint64_t b = l.borrowed; b != 0; b &= b - 1)
+      l.pages[static_cast<std::size_t>(std::countr_zero(b))].retain();
+    l.borrowed = 0;
+    l.src.reset();
+  }
+  l.borrows = l.src != nullptr;
+}
 
 std::size_t PageMap::shared_rec(const Node* a, const Node* b) {
   if (!a || !b) return 0;
@@ -324,7 +419,7 @@ std::size_t PageMap::apply_delta(const RangeDelta& d) {
     MW_CHECK(idx < num_pages_);
     Slot slot = slot_for_write(idx);
     const bool was_resident = (*slot.page != nullptr);
-    *slot.page = d.page[k];
+    slot.install(d.page[k]);
     *slot.tag = d.tag[k];
     if (!was_resident) {
       note_resident(idx);

@@ -21,6 +21,15 @@
 // fork/adopt. Because a write always path-copies shared nodes first, tag
 // updates are private to the writing map — a forked sibling keeps seeing the
 // old tags through its own root.
+//
+// Borrowing: a map forked for a child that lives only inside its parent's
+// alternative block (PageTable::fork_scoped) path-copies a leaf without
+// counting its pages. The copy marks every resident slot *borrowed* and
+// holds the leaf it was copied from (its source), which keeps those pages
+// alive: one node count instead of 64 page counts. A borrowed slot is
+// never written in place, and a leaf never drops the count of a borrowed
+// page. settle() ends borrowing once the block is over. See DESIGN.md
+// "Persistent page maps".
 #pragma once
 
 #include <atomic>
@@ -43,8 +52,9 @@ class PageMap {
 
   // Copying a PageMap shares the whole tree structurally (root refcount
   // bump): this *is* the O(1) fork. The special members are hand-written
-  // only to manage the write cache: copying introduces sharing, so both
-  // sides drop their cached leaf; moving transfers it.
+  // to manage the write cache and the borrowing mode: copying introduces
+  // sharing, so both sides drop their cached leaf and stop borrowing (the
+  // copy may outlive any block); moving transfers both.
   PageMap(const PageMap& o);
   PageMap(PageMap&& o) noexcept;
   PageMap& operator=(const PageMap& o);
@@ -63,12 +73,43 @@ class PageMap {
   struct Slot {
     PageRef* page;
     std::uint64_t* tag;
+    std::uint64_t* borrowed;  // the leaf's borrowed mask
+    std::uint64_t bit;        // this slot's bit in *borrowed
+
+    /// The page is held through the leaf's source, not counted here: it
+    /// must not be written in place.
+    bool is_borrowed() const { return (*borrowed & bit) != 0; }
+    /// Replaces the slot's page; a borrowed old page is let go uncounted.
+    void install(PageRef p) const {
+      if (is_borrowed()) {
+        page->detach();
+        *borrowed &= ~bit;
+      }
+      *page = std::move(p);
+    }
   };
   Slot slot_for_write(std::size_t i);  // inline fast path, defined below
 
   /// Records that slot `i` just went empty→resident, bumping the subtree
   /// resident counters along its (uniquely-owned, post-slot_for_write) path.
   void note_resident(std::size_t i);
+
+  /// Whether leaf path copies in this map borrow (see the file comment).
+  /// Only PageTable::fork_scoped turns it on; copying a map turns it off
+  /// on both sides.
+  bool borrowing() const { return borrowing_.load(std::memory_order_relaxed); }
+  void set_borrowing(bool on) {
+    borrowing_.store(on, std::memory_order_relaxed);
+  }
+
+  /// Ends borrowing in the part of the tree no other map reaches. A leaf
+  /// that is the only holder of its source takes over the source's counts
+  /// for its borrowed slots (a mask update, no atomic), and dropping the
+  /// source then frees exactly the pages this map overwrote; a leaf whose
+  /// source is still held elsewhere counts its borrowed pages instead.
+  /// Slots the source itself borrows stay borrowed, from the source's
+  /// source. O(nodes path-copied while borrowing).
+  void settle();
 
   /// Resident pages in the whole map. O(1) — maintained per subtree.
   std::size_t resident() const;
@@ -145,10 +186,13 @@ class PageMap {
                 std::vector<std::size_t>& out) const;
   static void collect_rec(const Node* n, std::unordered_set<const Page*>& out);
   static std::size_t count_tags_rec(const Node* n, std::uint64_t epoch);
+  static bool settle_rec(NodeRef& link);
+  static void settle_leaf(Leaf& l);
 
   std::size_t num_pages_;
   int depth_;  // levels in the tree, ≥ 1; leaves sit at level depth_-1
   NodeRef root_;
+  mutable std::atomic<bool> borrowing_{false};
 
   // Write cache: the slot arrays of the leaf most recently reached by a
   // full slot_for_write walk (stable for the leaf's lifetime — leaves never
@@ -163,6 +207,7 @@ class PageMap {
   // exclusive access to the map, as they always did.
   mutable std::atomic<PageRef*> cached_pages_{nullptr};
   mutable std::uint64_t* cached_tags_ = nullptr;
+  mutable std::uint64_t* cached_borrowed_ = nullptr;
   mutable std::size_t cached_prefix_ = 0;  // page index >> kFanoutBits
 };
 
@@ -171,7 +216,8 @@ inline PageMap::Slot PageMap::slot_for_write(std::size_t i) {
   PageRef* pages = cached_pages_.load(std::memory_order_relaxed);
   if (pages != nullptr && prefix == cached_prefix_ && i < num_pages_) {
     const std::size_t idx = i & (kFanout - 1);
-    return Slot{pages + idx, cached_tags_ + idx};
+    return Slot{pages + idx, cached_tags_ + idx, cached_borrowed_,
+                std::uint64_t{1} << idx};
   }
   return slot_for_write_slow(i);
 }

@@ -1,10 +1,14 @@
 #include "pagestore/page_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "pagestore/shard.hpp"
 #include "trace/spec_profile.hpp"
+#include "util/check.hpp"
 #include "util/threading.hpp"
 
 namespace mw {
@@ -25,9 +29,28 @@ PagePool::PagePool(std::size_t worker_shards) {
     shards_.push_back(std::make_unique<Shard>());
 }
 
+PagePool::~PagePool() { clear(); }
+
 PagePool& PagePool::global() {
   static PagePool pool;
   return pool;
+}
+
+Page* Page::alloc_block(std::size_t size, bool zeroed) {
+  MW_CHECK(size <= UINT32_MAX);
+  void* raw = zeroed ? std::calloc(1, sizeof(Page) + size)
+                     : std::malloc(sizeof(Page) + size);
+  MW_CHECK(raw != nullptr);
+  return new (raw) Page(size);
+}
+
+void Page::die() {
+  PageLedger::add(-1);  // before the block is cached or freed
+  if (pool_ != nullptr) {
+    pool_->recycle(this);
+  } else {
+    free_block(this);
+  }
 }
 
 std::size_t PagePool::home_shard() const {
@@ -36,102 +59,83 @@ std::size_t PagePool::home_shard() const {
   return 1 + id % (shards_.size() - 1);
 }
 
-std::vector<std::uint8_t> PagePool::take_frame(std::size_t size,
-                                               bool* was_hit) {
+PageRef PagePool::take(std::size_t size, bool zeroed, bool* was_hit) {
   const std::size_t home = home_shard();
+  Page* block = nullptr;
   {
     Shard& h = *shards_[home];
     std::lock_guard<std::mutex> lock(h.mu);
     auto it = h.free.find(size);
     if (it != h.free.end() && !it->second.empty()) {
-      std::vector<std::uint8_t> frame = std::move(it->second.back());
+      block = it->second.back();
       it->second.pop_back();
       --h.frames;
       h.bytes -= size;
       ++h.stats.hits;
-      if (was_hit) *was_hit = true;
-      return frame;
     }
   }
 
   // Steal refill: take a small batch from the first sibling that has the
   // class, keep one frame, park the rest at home. At most one shard lock
   // is held at a time (home was released above), so shards never deadlock.
-  std::vector<std::vector<std::uint8_t>> batch;
-  for (std::size_t v = 0; v < shards_.size() && batch.empty(); ++v) {
-    if (v == home) continue;
-    Shard& victim = *shards_[v];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    auto it = victim.free.find(size);
-    if (it == victim.free.end() || it->second.empty()) continue;
-    const std::size_t take = std::min(kRefillBatch, it->second.size());
-    for (std::size_t k = 0; k < take; ++k) {
-      batch.push_back(std::move(it->second.back()));
-      it->second.pop_back();
+  if (block == nullptr) {
+    std::vector<Page*> batch;
+    for (std::size_t v = 0; v < shards_.size() && batch.empty(); ++v) {
+      if (v == home) continue;
+      Shard& victim = *shards_[v];
+      std::lock_guard<std::mutex> lock(victim.mu);
+      auto it = victim.free.find(size);
+      if (it == victim.free.end() || it->second.empty()) continue;
+      const std::size_t n = std::min(kRefillBatch, it->second.size());
+      batch.assign(it->second.end() - static_cast<std::ptrdiff_t>(n),
+                   it->second.end());
+      it->second.resize(it->second.size() - n);
+      victim.frames -= n;
+      victim.bytes -= n * size;
     }
-    victim.frames -= take;
-    victim.bytes -= take * size;
-  }
-  if (!batch.empty()) {
-    std::vector<std::uint8_t> frame = std::move(batch.back());
-    batch.pop_back();
     Shard& h = *shards_[home];
     std::lock_guard<std::mutex> lock(h.mu);
-    ++h.stats.hits;
-    h.stats.steal_refills += batch.size() + 1;
-    if (!batch.empty()) {
-      auto& cls = h.free[size];
-      h.frames += batch.size();
-      h.bytes += batch.size() * size;
-      for (auto& f : batch) cls.push_back(std::move(f));
+    if (batch.empty()) {
+      ++h.stats.misses;
+    } else {
+      block = batch.back();
+      batch.pop_back();
+      ++h.stats.hits;
+      h.stats.steal_refills += batch.size() + 1;
+      if (!batch.empty()) {
+        auto& cls = h.free[size];
+        h.frames += batch.size();
+        h.bytes += batch.size() * size;
+        cls.insert(cls.end(), batch.begin(), batch.end());
+      }
     }
-    if (was_hit) *was_hit = true;
-    return frame;
   }
 
-  {
-    Shard& h = *shards_[home];
-    std::lock_guard<std::mutex> lock(h.mu);
-    ++h.stats.misses;
+  if (was_hit) *was_hit = block != nullptr;
+  if (block == nullptr) {
+    block = Page::alloc_block(size, zeroed);  // a fresh calloc is zero
+  } else if (zeroed) {
+    std::memset(block->mutable_data(), 0, size);
   }
-  if (was_hit) *was_hit = false;
-  return std::vector<std::uint8_t>(size);
-}
-
-PageRef PagePool::wrap(Page* p) {
-  // The custom deleter routes the frame back to the pool instance that
-  // allocated it when the last world referencing this page lets go — a
-  // non-global pool (or a future NUMA pool) must recycle into itself, not
-  // into whatever the global pool happens to be.
-  return PageRef(p, [this](Page* page) { recycle(page); });
+  return PageRef::adopt(Page::revive(block, this));
 }
 
 PageRef PagePool::acquire_uninit(std::size_t size, bool* was_hit) {
-  return wrap(new Page(take_frame(size, was_hit)));
+  return take(size, false, was_hit);
 }
 
 PageRef PagePool::acquire_zeroed(std::size_t size, bool* was_hit) {
-  bool hit = false;
-  PageRef page = acquire_uninit(size, &hit);
-  // A fresh frame from the system allocator is already zero.
-  if (hit) std::memset(page->mutable_data(), 0, size);
-  if (was_hit) *was_hit = hit;
-  return page;
+  return take(size, true, was_hit);
 }
 
 PageRef PagePool::acquire_copy(const Page& src, bool* was_hit) {
-  bool hit = false;
-  std::vector<std::uint8_t> frame = take_frame(src.size(), &hit);
-  std::memcpy(frame.data(), src.data(), src.size());
-  if (was_hit) *was_hit = hit;
-  return wrap(new Page(std::move(frame)));
+  PageRef page = take(src.size(), false, was_hit);
+  std::memcpy(page->mutable_data(), src.data(), src.size());
+  return page;
 }
 
-void PagePool::recycle(Page* p) {
-  std::vector<std::uint8_t> frame = p->steal_buffer();
-  delete p;  // the ledger decrements here, before the frame is cached
-  if (frame.empty()) return;
-  const std::size_t size = frame.size();
+void PagePool::recycle(Page* block) {
+  const std::size_t size = block->size();
   const std::size_t cap = cap_per_class_.load(std::memory_order_relaxed);
   const std::size_t home = home_shard();
   {
@@ -139,7 +143,7 @@ void PagePool::recycle(Page* p) {
     std::lock_guard<std::mutex> lock(h.mu);
     auto& cls = h.free[size];
     if (cls.size() < cap) {
-      cls.push_back(std::move(frame));
+      cls.push_back(block);
       ++h.frames;
       h.bytes += size;
       ++h.stats.recycled;
@@ -155,13 +159,14 @@ void PagePool::recycle(Page* p) {
     std::lock_guard<std::mutex> lock(s.mu);
     auto& cls = s.free[size];
     if (cls.size() >= cap) continue;
-    cls.push_back(std::move(frame));
+    cls.push_back(block);
     ++s.frames;
     s.bytes += size;
     ++s.stats.recycled;
     ++s.stats.overflows;
     return;
   }
+  Page::free_block(block);
   Shard& h = *shards_[home];
   std::lock_guard<std::mutex> lock(h.mu);
   ++h.stats.dropped;
@@ -198,6 +203,7 @@ void PagePool::set_capacity_per_class(std::size_t n) {
     std::lock_guard<std::mutex> lock(s.mu);
     for (auto& [size, frames] : s.free) {
       while (frames.size() > n) {
+        Page::free_block(frames.back());
         frames.pop_back();
         --s.frames;
         s.bytes -= size;
@@ -216,6 +222,8 @@ std::size_t PagePool::clear() {
     Shard& s = *sp;
     std::lock_guard<std::mutex> lock(s.mu);
     n += s.frames;
+    for (auto& [size, frames] : s.free)
+      for (Page* block : frames) Page::free_block(block);
     s.free.clear();
     s.frames = 0;
     s.bytes = 0;

@@ -5,9 +5,10 @@
 // each break pays the system allocator (plus a zero-fill for demand pages),
 // and each elimination gives the frames straight back — a malloc/free storm
 // proportional to speculation activity. The pool intercepts the free side:
-// when the last reference to a pooled Page dies, its buffer (the *frame*)
-// is salvaged into a per-size free list instead of being returned to the
-// allocator, and the next allocation of that size reuses the warm frame.
+// when the last reference to a pooled Page dies, its block (header and
+// bytes, one allocation: the *frame*) goes onto a per-size free list
+// instead of back to the allocator, and the next allocation of that size
+// reuses the warm frame.
 //
 // At one worker the free lists are cheap; at 16–64 scheduler workers a
 // single pool mutex is exactly the shared-heap contention the or-parallel
@@ -27,16 +28,18 @@
 // Per-shard stats merge on read: stats() sums the shards, shard_stats(s)
 // exposes one shard for balance diagnostics.
 //
-// The Page live-instance ledger stays exact: a recycled frame is a bare
-// std::vector<uint8_t>, not a Page — the dying Page is destroyed (and
-// un-counted) normally, so the runtime auditor's leak arithmetic needs no
-// pool-awareness to stay correct. frames_held() is exposed purely as a
-// diagnostic.
+// The Page live-instance ledger stays exact: a page leaves the ledger when
+// its last reference drops, before its block reaches a free list, and a
+// block re-enters it only when an acquire hands it out again — so the
+// runtime auditor's leak arithmetic needs no pool-awareness to stay
+// correct. frames_held() is exposed purely as a diagnostic. A pool frees
+// the blocks it still holds when it is destroyed.
 //
 // Thread safety: each shard takes its own internal mutex and at most one
-// shard lock is ever held at a time; deleters may run on whatever thread
-// drops the last reference, and recycle into the pool instance that
-// allocated the frame (never blindly into the global pool).
+// shard lock is ever held at a time; a page's last drop may run on
+// whatever thread lets go, and recycles into the pool instance that
+// allocated the block (recorded in the page header, never blindly the
+// global pool).
 #pragma once
 
 #include <atomic>
@@ -61,6 +64,9 @@ class PagePool {
   /// shard that unbound threads use. 0 = one worker shard per hardware
   /// thread (minimum 2 when the hardware count is unknown).
   explicit PagePool(std::size_t worker_shards = 0);
+  ~PagePool();
+  PagePool(const PagePool&) = delete;
+  PagePool& operator=(const PagePool&) = delete;
 
   /// The process-wide pool used by every PageTable.
   static PagePool& global();
@@ -100,7 +106,7 @@ class PagePool {
   struct PoolStats {
     std::uint64_t hits = 0;      // allocations served from the free lists
     std::uint64_t misses = 0;    // allocations that hit the system allocator
-    std::uint64_t recycled = 0;  // frames salvaged from dying pages
+    std::uint64_t recycled = 0;  // frames taken back from dying pages
     std::uint64_t dropped = 0;   // frames released: every shard's class full
     std::uint64_t steal_refills = 0;  // frames imported from a sibling shard
                                       // when the home free list missed
@@ -131,10 +137,11 @@ class PagePool {
   void fold_into(trace::SpecProfile& profile) const;
 
  private:
+  friend class Page;  // Page::die() recycles into the owning pool
+
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::size_t, std::vector<std::vector<std::uint8_t>>>
-        free;
+    std::unordered_map<std::size_t, std::vector<Page*>> free;  // dead blocks
     std::size_t frames = 0;  // cached frame count (all classes)
     std::size_t bytes = 0;   // cached byte count
     PoolStats stats;
@@ -144,11 +151,12 @@ class PagePool {
   /// pool's shard range, or the locked global shard 0 when unbound.
   std::size_t home_shard() const;
 
-  /// Deleter hook: salvage `p`'s frame, then destroy it.
-  void recycle(Page* p);
+  /// Takes back the block of a page whose last reference dropped.
+  void recycle(Page* block);
 
-  std::vector<std::uint8_t> take_frame(std::size_t size, bool* was_hit);
-  PageRef wrap(Page* p);
+  /// A live page of `size` bytes from a free list, or from the allocator
+  /// (zero-filled when `zeroed`) on a miss.
+  PageRef take(std::size_t size, bool zeroed, bool* was_hit);
 
   std::vector<std::unique_ptr<Shard>> shards_;  // [0] = global fallback
   std::atomic<std::size_t> cap_per_class_{1024};

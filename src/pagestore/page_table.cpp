@@ -29,16 +29,18 @@ void PageTable::materialize_slot(PageRef& ref, std::size_t i, bool blind) {
   MW_TRACE_EVENT(trace::EventKind::kPageAlloc, kNoPid, kNoPid, i);
 }
 
-void PageTable::cow_break_slot(PageRef& ref, std::size_t i, bool blind) {
+void PageTable::cow_break_slot(const PageMap::Slot& slot, std::size_t i,
+                               bool blind) {
   // COW break: the page is inherited or shared with a sibling world.
   // (slot_for_write path-copied any shared leaf first, so a page shared
-  // through structural sharing is guaranteed to show use_count > 1 here.)
-  // The paper's copy (§2.3) keeps the bytes the child does not write; a
-  // blind write keeps none, so it still breaks sharing but copies nothing.
+  // through structural sharing is guaranteed to show use_count > 1 here,
+  // or to be borrowed.) The paper's copy (§2.3) keeps the bytes the child
+  // does not write; a blind write keeps none, so it still breaks sharing
+  // but copies nothing.
   bool pool_hit = false;
   PagePool& pool = PagePool::global();
-  ref = blind ? pool.acquire_uninit(page_size_, &pool_hit)
-              : pool.acquire_copy(*ref, &pool_hit);
+  slot.install(blind ? pool.acquire_uninit(page_size_, &pool_hit)
+                     : pool.acquire_copy(**slot.page, &pool_hit));
   const std::size_t copied = blind ? 0 : page_size_;
   ++stats_.pages_copied;
   stats_.bytes_copied += copied;
@@ -90,10 +92,24 @@ PageTable PageTable::fork() const {
   return child;
 }
 
+PageTable PageTable::fork_scoped() const {
+  PageTable child = fork();
+  child.map_.set_borrowing(true);
+  return child;
+}
+
 void PageTable::adopt(PageTable&& child) {
   MW_CHECK(child.page_size_ == page_size_);
   MW_CHECK(child.num_pages() == num_pages());
-  map_ = std::move(child.map_);  // atomic in effect: a single root swap
+  const bool borrowing = map_.borrowing();
+  {
+    // Atomic in effect: a single root swap. The old tree goes first, so a
+    // leaf the child borrowed from is left held by the child alone.
+    PageMap old = std::move(map_);
+    map_ = std::move(child.map_);
+  }
+  map_.set_borrowing(borrowing);
+  map_.settle();
   // The commit absorbs the child's accounting so τ(overhead) attribution
   // (setup + run-time copying + completion) survives the swap. merge() runs
   // exactly once per adopt; nested trees therefore count each level once.

@@ -77,9 +77,20 @@ class PageTable {
   /// takes a reference to the same radix-tree root.
   PageTable fork() const;
 
+  /// A fork for a child that lives only inside this table's alternative
+  /// block: its leaf path copies borrow this table's pages instead of
+  /// counting them (see PageMap). Copy decisions and page counts match a
+  /// fork() exactly provided this table is not written, and keeps its
+  /// map, until the child has been adopted or dropped. Forking the child
+  /// in turn stops it borrowing.
+  PageTable fork_scoped() const;
+
   /// The paper's commit: "the parent process absorbs the state changes made
   /// by its child by atomically replacing its page pointer with that of the
-  /// child". O(1) root swap; stats are merged exactly once.
+  /// child". O(1) root swap; stats are merged exactly once. The old map is
+  /// released first, then the adopted one is settled (PageMap::settle, in
+  /// time proportional to what a scoped child path-copied), so a scoped
+  /// child's borrowing ends here. This table keeps its own borrowing mode.
   void adopt(PageTable&& child);
 
   // --- Segment commits (sharded pagestore / parallel commit path) -------
@@ -167,8 +178,8 @@ class PageTable {
     PageRef& ref = *slot.page;
     if (!ref) {
       materialize_slot(ref, i, blind);
-    } else if (ref.use_count() > 1) {
-      cow_break_slot(ref, i, blind);
+    } else if (slot.is_borrowed() || ref.use_count() > 1) {
+      cow_break_slot(slot, i, blind);
     }
     *slot.tag = ++gen_;
     ++stats_.page_writes;
@@ -179,7 +190,7 @@ class PageTable {
   void materialize_slot(PageRef& ref, std::size_t i, bool blind);
   /// Private frame for a page inherited from / shared with another world,
   /// holding a copy of it unless `blind`.
-  void cow_break_slot(PageRef& ref, std::size_t i, bool blind);
+  void cow_break_slot(const PageMap::Slot& slot, std::size_t i, bool blind);
 
   std::size_t page_size_;
   PageMap map_;

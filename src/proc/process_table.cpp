@@ -6,32 +6,60 @@ namespace mw {
 
 ProcessTable::ProcessTable() = default;
 
-ProcessRecord* ProcessTable::find(Pid pid) {
-  if (pid == kNoPid || pid > records_.size()) return nullptr;
-  return &records_[pid - 1];
+ProcessTable::Entry* ProcessTable::find(Pid pid) {
+  if (pid == kNoPid || pid > entries_.size()) return nullptr;
+  return &entries_[pid - 1];
 }
 
-const ProcessRecord* ProcessTable::find(Pid pid) const {
+const ProcessTable::Entry* ProcessTable::find(Pid pid) const {
   return const_cast<ProcessTable*>(this)->find(pid);
+}
+
+std::uint32_t ProcessTable::intern(std::string label) {
+  auto it = label_ids_.find(label);
+  if (it != label_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(labels_.size());
+  label_ids_.emplace(labels_.emplace_back(std::move(label)), id);
+  return id;
+}
+
+ProcessRecord ProcessTable::record(Pid pid, const Entry& e) const {
+  ProcessRecord rec;
+  rec.pid = pid;
+  rec.parent = e.parent;
+  rec.status = e.status;
+  rec.alt_group = e.alt_group;
+  rec.label = labels_[e.label];
+  for (Pid c = e.first_child; c != kNoPid; c = entries_[c - 1].next_sibling)
+    rec.children.push_back(c);
+  return rec;
 }
 
 Pid ProcessTable::create(Pid parent, std::uint64_t alt_group,
                          std::string label) {
   std::lock_guard<std::mutex> lk(mu_);
-  ProcessRecord& rec = records_.emplace_back();
-  rec.pid = static_cast<Pid>(records_.size());
-  rec.parent = parent;
-  rec.alt_group = alt_group;
-  rec.label = std::move(label);
-  if (ProcessRecord* p = find(parent)) p->children.push_back(rec.pid);
-  return rec.pid;
+  const std::uint32_t label_id = intern(std::move(label));
+  Entry& e = entries_.emplace_back();
+  const auto pid = static_cast<Pid>(entries_.size());
+  e.parent = parent;
+  e.alt_group = alt_group;
+  e.label = label_id;
+  if (Entry* p = find(parent)) {
+    if (p->last_child == kNoPid) {
+      p->first_child = pid;
+    } else {
+      entries_[p->last_child - 1].next_sibling = pid;
+    }
+    p->last_child = pid;
+  }
+  return pid;
 }
 
 ProcessRecord ProcessTable::get(Pid pid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const ProcessRecord* rec = find(pid);
-  MW_CHECK(rec != nullptr);
-  return *rec;
+  const Entry* e = find(pid);
+  MW_CHECK(e != nullptr);
+  return record(pid, *e);
 }
 
 bool ProcessTable::exists(Pid pid) const {
@@ -41,9 +69,9 @@ bool ProcessTable::exists(Pid pid) const {
 
 ProcStatus ProcessTable::status(Pid pid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const ProcessRecord* rec = find(pid);
-  MW_CHECK(rec != nullptr);
-  return rec->status;
+  const Entry* e = find(pid);
+  MW_CHECK(e != nullptr);
+  return e->status;
 }
 
 bool ProcessTable::set_status(Pid pid, ProcStatus next) {
@@ -51,11 +79,11 @@ bool ProcessTable::set_status(Pid pid, ProcStatus next) {
   std::vector<StatusListener> listeners;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ProcessRecord* rec = find(pid);
-    MW_CHECK(rec != nullptr);
-    old = rec->status;
+    Entry* e = find(pid);
+    MW_CHECK(e != nullptr);
+    old = e->status;
     if (is_terminal(old)) return false;
-    rec->status = next;
+    e->status = next;
     listeners = listeners_;  // snapshot; invoke outside the lock
   }
   for (auto& fn : listeners) fn(pid, old, next);
@@ -68,9 +96,9 @@ Completion ProcessTable::complete(Pid pid) const {
 
 void ProcessTable::set_label(Pid pid, std::string label) {
   std::lock_guard<std::mutex> lk(mu_);
-  ProcessRecord* rec = find(pid);
-  MW_CHECK(rec != nullptr);
-  rec->label = std::move(label);
+  Entry* e = find(pid);
+  MW_CHECK(e != nullptr);
+  e->label = intern(std::move(label));
 }
 
 void ProcessTable::subscribe(StatusListener fn) {
@@ -80,20 +108,29 @@ void ProcessTable::subscribe(StatusListener fn) {
 
 std::size_t ProcessTable::process_count() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return records_.size();
+  return entries_.size();
 }
 
 std::size_t ProcessTable::live_count() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;
-  for (const ProcessRecord& rec : records_)
-    if (!is_terminal(rec.status)) ++n;
+  for (const Entry& e : entries_)
+    if (!is_terminal(e.status)) ++n;
   return n;
 }
 
 std::vector<ProcessRecord> ProcessTable::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return std::vector<ProcessRecord>(records_.begin(), records_.end());
+  std::vector<ProcessRecord> out;
+  out.reserve(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i)
+    out.push_back(record(static_cast<Pid>(i + 1), entries_[i]));
+  return out;
+}
+
+std::size_t ProcessTable::label_count() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return labels_.size();
 }
 
 }  // namespace mw

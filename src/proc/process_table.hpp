@@ -13,6 +13,8 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "proc/status.hpp"
@@ -39,7 +41,8 @@ class ProcessTable {
   /// Creates a process; pids are never reused within one table.
   Pid create(Pid parent, std::uint64_t alt_group = 0, std::string label = {});
 
-  /// Snapshot of the record (by value: the live record may change).
+  /// Snapshot of the record (by value: the live record may change), with
+  /// children in creation order.
   ProcessRecord get(Pid pid) const;
   bool exists(Pid pid) const;
 
@@ -55,6 +58,7 @@ class ProcessTable {
 
   /// Replaces a process's diagnostic label — how the supervision layer
   /// annotates a pid with its fate ("quarantined after N restarts").
+  /// Labels are interned: equal labels are stored once per table.
   void set_label(Pid pid, std::string label);
 
   /// Registers a listener invoked (outside the table lock) after every
@@ -70,15 +74,40 @@ class ProcessTable {
   /// Copy of every record, ordered by pid — the auditor's view.
   std::vector<ProcessRecord> snapshot() const;
 
+  /// Distinct labels stored (diagnostic: interning at work).
+  std::size_t label_count() const;
+
  private:
-  /// The record of `pid`, or null when no process has it.
-  ProcessRecord* find(Pid pid);
-  const ProcessRecord* find(Pid pid) const;
+  /// What the table stores per pid: 32 bytes. Children are an intrusive
+  /// list (first/last child, next sibling) and the label an index into the
+  /// interned labels, so a record costs no allocation of its own.
+  struct Entry {
+    std::uint64_t alt_group = 0;
+    Pid parent = kNoPid;
+    Pid first_child = kNoPid;
+    Pid last_child = kNoPid;
+    Pid next_sibling = kNoPid;
+    std::uint32_t label = 0;  // index into labels_
+    ProcStatus status = ProcStatus::kReady;
+  };
+  static_assert(sizeof(Entry) == 32);
+
+  /// The entry of `pid`, or null when no process has it.
+  Entry* find(Pid pid);
+  const Entry* find(Pid pid) const;
+  /// `pid`'s record, rebuilt from its entry (children, label).
+  ProcessRecord record(Pid pid, const Entry& e) const;
+  /// The id of `label`, storing it on first use.
+  std::uint32_t intern(std::string label);
 
   mutable std::mutex mu_;
   // Pids are dense from 1 and never reused, so pid p lives at index p - 1.
-  // A deque grows without moving (or copying) the records already stored.
-  std::deque<ProcessRecord> records_;
+  // A deque grows without moving (or copying) the entries already stored.
+  std::deque<Entry> entries_;
+  // Interned labels; a deque keeps each string (and the views keying
+  // label_ids_) in place as it grows.
+  std::deque<std::string> labels_;
+  std::unordered_map<std::string_view, std::uint32_t> label_ids_;
   std::vector<StatusListener> listeners_;
 };
 

@@ -330,11 +330,12 @@ TEST(AltPool, LosersReleaseTheirPagesBeforeTheBlockReturns) {
 TEST(AltPool, ALateLoserNeverWritesInPlaceWhatADroppedSiblingRead) {
   // All three write page 129 (in leaf 2). The winner replaces leaf 2 and
   // the page in its map; "early" copies both and drops its world; "late"
-  // still reaches the parent's old leaf 2 and page through its copy of the
-  // root, and writes the page only after the commit. The block keeps the
-  // parent's pre-commit map alive until every sibling has ended, so "late"
-  // still sees both shared and copies them, instead of writing in place
-  // over what "early" read: a data race, and one page copy short.
+  // still reaches the parent's leaf 2 and page through its copy of the
+  // root, and writes the page only after the winner has synced and "early"
+  // has dropped. The block commits only after every sibling has ended, so
+  // the parent's map still holds both: "late" copies them instead of
+  // writing in place over what "early" read (a data race, and one page
+  // copy short).
   RuntimeConfig cfg = pool_config();
   cfg.num_pages = 4 * 64;  // a two-level map: a root over four leaves
   cfg.pool.workers = 3;
@@ -371,7 +372,7 @@ TEST(AltPool, ALateLoserNeverWritesInPlaceWhatADroppedSiblingRead) {
                      store(ctx, 64, 3);  // leaf 1: copies the root
                      late_forked = true;
                      await(winner_done);
-                     // Long enough for the commit and the early drop.
+                     // Long enough for the early drop.
                      std::this_thread::sleep_for(std::chrono::milliseconds(50));
                      store(ctx, 129, 3);
                      for (;;) ctx.checkpoint();  // unwinds when eliminated

@@ -220,6 +220,51 @@ TEST(RaceSimFaultMatrix, DropAndDelayFaultsNeverBreakTheRace) {
   }
 }
 
+TEST(TransportRace, JoinOutlastingTheDeadTimeoutStillJoins) {
+  // On a lossy link a join can still be in retransmission when the
+  // worker's dead timeout would expire. The coordinator beats only the
+  // workers it has heard from, so the worker must not judge it dead
+  // before the join is acknowledged. Here every join frame is lost until
+  // past the dead timeout; the last retry of the first round gets through.
+  const RaceConfig config = sim_race_config();
+  EventQueue queue;
+  SimTransport transport(queue, LinkModel{}, 1);
+  RaceCoordinator coordinator(transport, SimRaceCluster::kCoordinator, config);
+  const NodeId node = 1;
+  transport.set_link_blocked(node, SimRaceCluster::kCoordinator, true);
+  RaceWorker worker(transport, node, SimRaceCluster::kCoordinator, config);
+  transport.run_until(config.health.dead_after + vt_ms(100));
+  EXPECT_FALSE(worker.done());
+  EXPECT_EQ(coordinator.joined(), 0u);
+
+  transport.set_link_blocked(node, SimRaceCluster::kCoordinator, false);
+  transport.run_until(transport.now() + vt_sec(1));
+  ASSERT_EQ(coordinator.joined(), 1u);
+  EXPECT_FALSE(worker.done());
+
+  coordinator.start({600});
+  transport.run_until(transport.now() + vt_sec(2));
+  ASSERT_TRUE(coordinator.done());
+  EXPECT_TRUE(coordinator.outcome().all_completed);
+  EXPECT_EQ(coordinator.outcome().failovers, 0u);
+}
+
+TEST(TransportRace, WorkerWhoseJoinNeverLandsExits) {
+  // The other side of the rule above: a worker that cannot reach its
+  // coordinator at all is an orphan, and gives up after a bounded number
+  // of join rounds instead of spinning forever.
+  const RaceConfig config = sim_race_config();
+  EventQueue queue;
+  SimTransport transport(queue, LinkModel{}, 1);
+  const NodeId node = 1;
+  transport.set_link_blocked(node, SimRaceCluster::kCoordinator, true);
+  RaceWorker worker(transport, node, SimRaceCluster::kCoordinator, config);
+  transport.run_until(config.retry.exhausted_budget());
+  EXPECT_FALSE(worker.done());  // one round of join retries is not enough
+  transport.run_until(vt_sec(10));
+  EXPECT_TRUE(worker.done());
+}
+
 // --- the multi-process socket race ----------------------------------------
 
 /// Forked worker process body: joins the coordinator over loopback UDP,

@@ -3,7 +3,9 @@
 // against a faithful replica of the pre-radix flat page table, asserting
 // byte-for-byte content equivalence *and* exact stats equivalence — the
 // radix tree must make the same allocate/COW-break decisions the flat slot
-// vector made, page for page.
+// vector made, page for page. Alternative blocks fork scoped (borrowing)
+// children where the reference forks plain ones: borrowing must not change
+// a single decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +33,9 @@ class FlatRef {
       slot = make_page(page_size_);
       ++stats_.pages_allocated;
     } else if (slot.use_count() > 1) {
-      slot = std::make_shared<Page>(*slot);
+      PageRef copy = make_page(page_size_);
+      std::memcpy(copy->mutable_data(), slot->data(), page_size_);
+      slot = std::move(copy);
       ++stats_.pages_copied;
       if (!blind) stats_.bytes_copied += page_size_;
     }
@@ -118,6 +122,55 @@ struct WorldPair {
   FlatRef ref;
 };
 
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t len) {
+  std::vector<std::uint8_t> data(len);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return data;
+}
+
+void random_write(Rng& rng, WorldPair& w) {
+  const std::size_t bytes = w.table.size_bytes();
+  const std::size_t off = rng.next_below(bytes);
+  const std::size_t len = 1 + rng.next_below(bytes - off);
+  const std::vector<std::uint8_t> data = random_bytes(rng, len);
+  w.table.write(off, data);
+  w.ref.write(off, data);
+}
+
+// An alternative block as kPool runs it: 2-4 scoped children of `parent`
+// write (and, below `depth`, run blocks of their own) while the parent is
+// untouched; then one child is adopted and the rest are dropped, each
+// before or after the adopt. The reference forks and adopts plainly.
+void run_block(Rng& rng, WorldPair& parent, int depth) {
+  std::vector<std::unique_ptr<WorldPair>> kids;
+  const std::size_t n = 2 + rng.next_below(3);
+  for (std::size_t k = 0; k < n; ++k)
+    kids.push_back(std::make_unique<WorldPair>(
+        WorldPair{parent.table.fork_scoped(), parent.ref.fork()}));
+  const std::size_t steps = 1 + rng.next_below(8);
+  for (std::size_t s = 0; s < steps; ++s) {
+    WorldPair& kid = *kids[rng.next_below(n)];
+    if (depth > 0 && rng.next_below(4) == 0) {
+      run_block(rng, kid, depth - 1);
+    } else {
+      random_write(rng, kid);
+    }
+  }
+  const std::size_t winner = rng.next_below(n);
+  std::vector<std::size_t> late;  // losers that outlive the adopt
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k == winner) continue;
+    if (rng.next_below(2) == 0) {
+      kids[k].reset();
+    } else {
+      late.push_back(k);
+    }
+  }
+  parent.table.adopt(std::move(kids[winner]->table));
+  parent.ref.adopt(std::move(kids[winner]->ref));
+  for (std::size_t k : late) kids[k].reset();
+}
+
 void expect_equivalent(const WorldPair& w, std::uint64_t seed, int step) {
   // Contents.
   std::vector<std::uint8_t> got(w.table.size_bytes());
@@ -145,12 +198,12 @@ class PageMapModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PageMapModelTest, RandomOpsMatchFlatReference) {
   const std::uint64_t seed = GetParam();
+  const std::int64_t live_before = Page::live_instances();
   Rng rng(seed);
   const std::size_t page_size = 1 + rng.next_below(96);
   // Bias toward sizes that exercise multi-level trees (fanout 64): up to
   // 2^13 pages spans depth 1..3.
   const std::size_t num_pages = 2 + rng.next_below(1u << (3 + rng.next_below(11)));
-  const std::size_t bytes = page_size * num_pages;
 
   std::vector<std::unique_ptr<WorldPair>> worlds;
   worlds.push_back(std::make_unique<WorldPair>(
@@ -158,7 +211,7 @@ TEST_P(PageMapModelTest, RandomOpsMatchFlatReference) {
 
   for (int step = 0; step < 300; ++step) {
     const std::size_t w = rng.next_below(worlds.size());
-    switch (rng.next_below(12)) {
+    switch (rng.next_below(13)) {
       case 0:
       case 1: {  // fork a new world
         if (worlds.size() < 8) {
@@ -194,14 +247,12 @@ TEST_P(PageMapModelTest, RandomOpsMatchFlatReference) {
             << "seed=" << seed << " step=" << step;
         break;
       }
+      case 5: {  // an alternative block over world w, maybe nested
+        run_block(rng, *worlds[w], 1);
+        break;
+      }
       default: {  // write a random range
-        const std::size_t off = rng.next_below(bytes);
-        const std::size_t len = 1 + rng.next_below(bytes - off);
-        std::vector<std::uint8_t> data(len);
-        for (auto& b : data)
-          b = static_cast<std::uint8_t>(rng.next_below(256));
-        worlds[w]->table.write(off, data);
-        worlds[w]->ref.write(off, data);
+        random_write(rng, *worlds[w]);
         break;
       }
     }
@@ -209,6 +260,10 @@ TEST_P(PageMapModelTest, RandomOpsMatchFlatReference) {
 
   for (std::size_t w = 0; w < worlds.size(); ++w)
     expect_equivalent(*worlds[w], seed, 300 + static_cast<int>(w));
+  // Borrowing leaves no page behind: with every world gone, so is every
+  // page either side made.
+  worlds.clear();
+  EXPECT_EQ(Page::live_instances(), live_before) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageMapModelTest,

@@ -1,4 +1,4 @@
-// Sharded PagePool unit tests: deleter ownership (a frame recycles into the
+// Sharded PagePool unit tests: frame ownership (a frame recycles into the
 // pool that allocated it, not the global pool), steal-refill and overflow
 // traffic between shards, and merge-on-read stats arithmetic.
 #include "pagestore/page_pool.hpp"
@@ -30,8 +30,8 @@ TEST(PagePool, WrapRecyclesIntoOwningPoolNotGlobal) {
     EXPECT_FALSE(hit);
     EXPECT_EQ(p->size(), kOddSize);
   }
-  // The dying page's frame must come back to `local` — the deleter captures
-  // the owning pool, not PagePool::global().
+  // The dying page's frame must come back to `local` — the page header
+  // records the owning pool, not PagePool::global().
   EXPECT_EQ(local.frames_held(), 1u);
   EXPECT_EQ(PagePool::global().frames_held(), global_before);
 

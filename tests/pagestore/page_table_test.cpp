@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <unordered_set>
 
+#include "core/runtime_auditor.hpp"
 #include "pagestore/page_pool.hpp"
+#include "proc/process_table.hpp"
 
 namespace mw {
 namespace {
@@ -321,6 +325,148 @@ TEST(PageTable, RecycledDirtyFrameServesABlindWrite) {
   EXPECT_EQ(child.stats().pool_hits, 1u);
   expect_frames_accounted(child);
   EXPECT_EQ(read_vec(child, 0, kPageSize), page);
+}
+
+// --- scoped (borrowing) forks ----------------------------------------------
+//
+// A kPool child is forked with fork_scoped(): its leaf path copies borrow
+// the parent's pages instead of counting them, and adopt() settles the
+// borrowing. Nothing observable may differ from a counted fork.
+
+constexpr std::size_t kScopedPageSize = 32;
+constexpr std::size_t kScopedPages = 3 * 64 + 5;  // a depth-2 tree
+
+// A parent with every other page resident, each holding its index.
+PageTable populated_parent() {
+  PageTable t(kScopedPageSize, kScopedPages);
+  for (std::size_t p = 0; p < kScopedPages; p += 2)
+    t.write(p * kScopedPageSize, bytes({static_cast<int>(p & 0xFF)}));
+  return t;
+}
+
+// Partial, whole-page (blind), repeated and demand writes over three
+// leaves.
+void scoped_write_mix(PageTable& t, int salt) {
+  const std::vector<std::uint8_t> whole(kScopedPageSize,
+                                        static_cast<std::uint8_t>(salt));
+  for (std::size_t p : {0u, 2u, 3u, 64u, 66u, 130u, 131u, 194u}) {
+    t.write(p * kScopedPageSize + 5, bytes({salt, salt + 1}));
+    t.write(p * kScopedPageSize + 9, bytes({salt + 2}));  // now in place
+  }
+  for (std::size_t p : {4u, 65u, 128u}) t.write(p * kScopedPageSize, whole);
+}
+
+std::int64_t reachable_pages(std::initializer_list<const PageTable*> tables) {
+  std::unordered_set<const Page*> pages;
+  for (const PageTable* t : tables) t->collect_pages(pages);
+  return static_cast<std::int64_t>(pages.size());
+}
+
+TEST(PageTableScoped, WriteToABorrowedSlotCopiesExactlyAsACountedFork) {
+  PageTable parent = populated_parent();
+  const std::vector<std::uint8_t> before =
+      read_vec(parent, 0, parent.size_bytes());
+  PageTable counted = parent.fork();
+  PageTable scoped = parent.fork_scoped();
+  scoped_write_mix(counted, 7);
+  scoped_write_mix(scoped, 7);
+
+  EXPECT_EQ(scoped.stats().pages_copied, counted.stats().pages_copied);
+  EXPECT_EQ(scoped.stats().bytes_copied, counted.stats().bytes_copied);
+  EXPECT_EQ(scoped.stats().pages_allocated, counted.stats().pages_allocated);
+  EXPECT_EQ(scoped.stats().page_writes, counted.stats().page_writes);
+  // Odd pages are absent in the parent: 6 partial and 2 blind copies, and
+  // 3 demand allocations.
+  EXPECT_EQ(scoped.stats().pages_copied, 8u);
+  EXPECT_EQ(scoped.stats().bytes_copied, 6u * kScopedPageSize);
+  EXPECT_EQ(scoped.stats().pages_allocated, 3u);
+  EXPECT_EQ(read_vec(scoped, 0, scoped.size_bytes()),
+            read_vec(counted, 0, counted.size_bytes()));
+  EXPECT_EQ(scoped.shared_pages_with(parent),
+            counted.shared_pages_with(parent));
+  EXPECT_EQ(scoped.diff(parent), counted.diff(parent));
+  EXPECT_EQ(read_vec(parent, 0, parent.size_bytes()), before);
+}
+
+TEST(PageTableScoped, AdoptTransfersCountsWhenTheChildAloneHoldsItsSources) {
+  const std::int64_t baseline = Page::live_instances();
+  {
+    PageTable parent = populated_parent();
+    PageTable child = parent.fork_scoped();
+    scoped_write_mix(child, 9);
+    const std::vector<std::uint8_t> want =
+        read_vec(child, 0, child.size_bytes());
+    parent.adopt(std::move(child));
+    // The pages the child overwrote died with the parent's old leaves; the
+    // rest are counted by the adopted map alone.
+    EXPECT_EQ(Page::live_instances() - baseline, reachable_pages({&parent}));
+    EXPECT_EQ(Page::live_instances() - baseline,
+              static_cast<std::int64_t>(parent.resident_pages()));
+    EXPECT_EQ(read_vec(parent, 0, parent.size_bytes()), want);
+    // The settled map is an ordinary one: a fork of it writes and drops
+    // without disturbing the count.
+    {
+      PageTable next = parent.fork();
+      scoped_write_mix(next, 11);
+    }
+    EXPECT_EQ(read_vec(parent, 0, parent.size_bytes()), want);
+    EXPECT_EQ(Page::live_instances() - baseline, reachable_pages({&parent}));
+  }
+  EXPECT_EQ(Page::live_instances(), baseline);
+}
+
+TEST(PageTableScoped, AdoptCountsWhenTheSourceIsStillHeldElsewhere) {
+  RuntimeAuditor auditor;
+  {
+    std::optional<PageTable> parent = populated_parent();
+    const PageTable other = parent->fork();  // keeps the old leaves alive
+    const std::vector<std::uint8_t> before =
+        read_vec(other, 0, other.size_bytes());
+    PageTable child = parent->fork_scoped();
+    scoped_write_mix(child, 13);
+    parent->adopt(std::move(child));
+    EXPECT_EQ(Page::live_instances() - auditor.baseline_pages(),
+              reachable_pages({&*parent, &other}));
+    // The adopted map counted the pages it shares with `other`, so
+    // dropping it leaves every page of `other` alive.
+    parent.reset();
+    EXPECT_EQ(Page::live_instances() - auditor.baseline_pages(),
+              reachable_pages({&other}));
+    EXPECT_EQ(read_vec(other, 0, other.size_bytes()), before);
+  }
+  EXPECT_TRUE(auditor.run(ProcessTable{}).clean());
+}
+
+TEST(PageTableScoped, NestedScopedBlocksLeaveTheAuditorClean) {
+  RuntimeAuditor auditor;
+  {
+    PageTable parent = populated_parent();
+    PageTable child = parent.fork_scoped();
+    scoped_write_mix(child, 17);
+    // The grandchildren borrow from the child's leaves, some of whose
+    // slots the child itself borrows from the parent.
+    PageTable grand = child.fork_scoped();
+    PageTable loser = child.fork_scoped();
+    grand.write(2 * kScopedPageSize, bytes({42}));
+    grand.write(6 * kScopedPageSize, bytes({43}));
+    loser.write(6 * kScopedPageSize, bytes({44}));
+    loser = PageTable(kScopedPageSize, kScopedPages);  // dropped first
+    child.adopt(std::move(grand));
+    child.write(8 * kScopedPageSize, bytes({45}));
+    parent.adopt(std::move(child));
+
+    EXPECT_EQ(read_vec(parent, 2 * kScopedPageSize, 1), bytes({42}));
+    EXPECT_EQ(read_vec(parent, 6 * kScopedPageSize, 1), bytes({43}));
+    EXPECT_EQ(read_vec(parent, 8 * kScopedPageSize, 1), bytes({45}));
+    EXPECT_EQ(read_vec(parent, 10 * kScopedPageSize, 1), bytes({10}));
+    EXPECT_EQ(Page::live_instances() - auditor.baseline_pages(),
+              reachable_pages({&parent}));
+    RuntimeAuditor with_parent = auditor;
+    with_parent.add_table(parent);
+    const AuditReport report = with_parent.run(ProcessTable{});
+    EXPECT_TRUE(report.clean()) << report.to_string();
+  }
+  EXPECT_TRUE(auditor.run(ProcessTable{}).clean());
 }
 
 TEST(CowStats, MergeCoversEveryFieldIncludingPoolCounters) {

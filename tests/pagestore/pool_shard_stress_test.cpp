@@ -155,9 +155,9 @@ TEST(PoolShardStress, SiblingsBlindWriteAndDropWhileAParentAdopts) {
   // pages (blind COW breaks), the losers drop their tables on their own
   // threads, and the parent adopts the winner while the losers are still
   // writing or dropping — so refcounts of nodes and pages shared three
-  // ways fall on four threads at once. As in a kPool block, the map the
-  // siblings forked from stays alive until every sibling has ended: an
-  // in-place write trusts a relaxed use_count() of 1, which orders nothing
+  // ways fall on four threads at once. The map the siblings forked from
+  // stays alive until every sibling has ended: an in-place write of a
+  // radix node trusts a relaxed use_count() of 1, which orders nothing
   // after a sibling's drop, so no sibling may be the last holder of what
   // another still reads.
   constexpr std::size_t kPages = 4 * 64 + 3;  // a depth-2 tree
@@ -210,6 +210,64 @@ TEST(PoolShardStress, SiblingsBlindWriteAndDropWhileAParentAdopts) {
     parent.collect_pages(reachable);
     EXPECT_EQ(Page::live_instances(),
               baseline + static_cast<std::int64_t>(reachable.size()));
+    auditor.add_table(parent);
+    EXPECT_TRUE(auditor.run(procs).clean())
+        << auditor.run(procs).to_string();
+  }
+  EXPECT_EQ(Page::live_instances(), baseline);
+}
+
+TEST(PoolShardStress, ScopedSiblingsWriteAndDropThenOneIsAdopted) {
+  // A kPool block at the pagestore level: the siblings are scoped forks,
+  // so their leaf path copies borrow the parent's pages. Each writes on
+  // its own worker thread (partial writes: real copies out of borrowed
+  // slots), the losers drop their tables there, and the parent adopts the
+  // winner only after every sibling has ended — the parent's map holds
+  // everything they borrowed until then. The adopt then settles the
+  // winner's borrowed slots.
+  constexpr std::size_t kPages = 4 * 64 + 3;  // a depth-2 tree
+  constexpr std::size_t kRounds = 12;
+  const std::int64_t baseline = Page::live_instances();
+  RuntimeAuditor auditor;
+  ProcessTable procs;
+  {
+    PageTable parent(kPageSize, kPages);
+    parent.write(0, std::vector<std::uint8_t>(kPages * kPageSize, 0x5A));
+
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const std::size_t winner = round % kThreads;
+      std::vector<std::optional<PageTable>> kids;
+      for (std::size_t k = 0; k < kThreads; ++k)
+        kids.emplace_back(parent.fork_scoped());
+
+      std::vector<std::thread> siblings;
+      for (std::size_t k = 0; k < kThreads; ++k) {
+        siblings.emplace_back([&, k] {
+          PageShard::bind(k);
+          const auto tag = static_cast<std::uint8_t>(round * kThreads + k);
+          const std::vector<std::uint8_t> two{tag, tag};
+          // Strided so siblings copy overlapping pages of shared leaves.
+          for (std::size_t p = k; p < kPages; p += 3)
+            kids[k]->write(p * kPageSize + 1, two);
+          if (k != winner) kids[k].reset();  // dies on this thread
+          PageShard::unbind();
+        });
+      }
+      for (auto& th : siblings) th.join();
+      parent.adopt(std::move(*kids[winner]));
+      kids.clear();
+
+      const auto tag = static_cast<std::uint8_t>(round * kThreads + winner);
+      for (std::size_t p = winner; p < kPages; p += 3) {
+        ASSERT_EQ(parent.peek(p)->data()[1], tag) << "round " << round;
+        ASSERT_EQ(parent.peek(p)->data()[2], tag);
+      }
+      std::unordered_set<const Page*> reachable;
+      parent.collect_pages(reachable);
+      ASSERT_EQ(Page::live_instances(),
+                baseline + static_cast<std::int64_t>(reachable.size()))
+          << "round " << round;
+    }
     auditor.add_table(parent);
     EXPECT_TRUE(auditor.run(procs).clean())
         << auditor.run(procs).to_string();

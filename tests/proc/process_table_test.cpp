@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace mw {
@@ -154,6 +155,70 @@ TEST(ProcessTable, ManyCreatesKeepTheirLinks) {
   const std::vector<ProcessRecord> all = t.snapshot();
   ASSERT_EQ(all.size(), kCount);
   for (Pid pid = 1; pid <= kCount; ++pid) ASSERT_EQ(all[pid - 1].pid, pid);
+}
+
+TEST(ProcessTable, LabelsAreInternedAndSetLabelStillWorks) {
+  ProcessTable t;
+  const Pid a = t.create(kNoPid, 0, "alt");
+  const Pid b = t.create(a, 1, "alt");
+  const Pid c = t.create(a, 1, "other");
+  EXPECT_EQ(t.label_count(), 2u);  // "alt" and "other"
+  for (int i = 0; i < 1000; ++i) t.create(a, 2, "alt");
+  EXPECT_EQ(t.label_count(), 2u);
+  t.set_label(b, "quarantined after 3 restarts");
+  EXPECT_EQ(t.get(b).label, "quarantined after 3 restarts");
+  EXPECT_EQ(t.get(a).label, "alt");  // a shared label is not rewritten
+  EXPECT_EQ(t.get(c).label, "other");
+  t.set_label(c, "alt");
+  EXPECT_EQ(t.get(c).label, "alt");
+  EXPECT_EQ(t.label_count(), 3u);
+}
+
+TEST(ProcessTable, ChildrenKeepCreationOrderAcross100kCreates) {
+  ProcessTable t;
+  constexpr std::size_t kParents = 7;
+  constexpr std::size_t kCreates = 100000;
+  std::vector<Pid> parents;
+  for (std::size_t i = 0; i < kParents; ++i)
+    parents.push_back(t.create(kNoPid));
+  std::vector<std::vector<Pid>> want(kParents);
+  std::uint64_t x = 12345;
+  for (std::size_t i = 0; i < kCreates; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t k = (x >> 33) % kParents;
+    want[k].push_back(t.create(parents[k]));
+  }
+  for (std::size_t k = 0; k < kParents; ++k)
+    EXPECT_EQ(t.get(parents[k]).children, want[k]) << "parent " << k;
+}
+
+TEST(ProcessTable, SnapshotMatchesTheRecordsCreated) {
+  ProcessTable t;
+  std::vector<ProcessRecord> want;
+  for (Pid i = 0; i < 200; ++i) {
+    ProcessRecord rec;
+    rec.parent = i == 0 ? kNoPid : 1 + ((i * 2654435761u) >> 8) % i;
+    rec.alt_group = i % 5;
+    rec.label = "p" + std::to_string(i % 13);
+    rec.pid = t.create(rec.parent, rec.alt_group, rec.label);
+    ASSERT_EQ(rec.pid, i + 1);
+    if (rec.parent != kNoPid) want[rec.parent - 1].children.push_back(rec.pid);
+    want.push_back(rec);
+  }
+  for (Pid pid = 1; pid <= 200; pid += 3) {
+    t.set_status(pid, ProcStatus::kRunning);
+    want[pid - 1].status = ProcStatus::kRunning;
+  }
+  const std::vector<ProcessRecord> got = t.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pid, want[i].pid);
+    EXPECT_EQ(got[i].parent, want[i].parent);
+    EXPECT_EQ(got[i].status, want[i].status);
+    EXPECT_EQ(got[i].alt_group, want[i].alt_group);
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].children, want[i].children) << "pid " << got[i].pid;
+  }
 }
 
 TEST(ProcessTableDeath, UnknownPidAborts) {
