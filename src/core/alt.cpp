@@ -18,6 +18,12 @@ AltOutcome run_alternatives(Runtime& rt, World& parent,
       break;
   }
   rt.record_outcome(out);
+  // The outcome is recorded: the children's records may now retire.
+  std::vector<Pid> children;
+  children.reserve(out.alts.size());
+  for (const AltReport& a : out.alts)
+    if (a.spawned && a.pid != kNoPid) children.push_back(a.pid);
+  rt.processes().retire(children);
   return out;
 }
 

@@ -46,10 +46,14 @@ struct RuntimeConfig {
   /// deterministic mode. Ignored by the other backends.
   SchedConfig pool;
 
-  /// Adaptive speculation policy (core/spec_policy.hpp). Defaults to
-  /// kStatic, which is bit-for-bit today's behavior; kAdaptive closes the
-  /// loop from race outcomes into admission width, alternative ordering,
-  /// and or-parallel split selection. policy.seed 0 derives from `seed`.
+  /// Adaptive speculation policy (core/spec_policy.hpp). The default mode,
+  /// kAuto, resolves per engine: kAdaptive on the wall-clock kPool
+  /// (pool.deterministic_seed 0), where learned per-position win rates
+  /// order each race, and kStatic on kVirtual and deterministic kPool,
+  /// which stay bit-for-bit replayable. kAdaptive closes the loop from race
+  /// outcomes into admission width, alternative ordering, and or-parallel
+  /// split selection. An explicit mode is kept. policy.seed 0 derives from
+  /// `seed`.
   PolicyConfig policy;
 };
 
@@ -92,7 +96,8 @@ class Runtime {
   /// The speculation policy engine: every backend feeds it race outcomes
   /// via record_outcome; the kPool dispatch paths and the or-parallel
   /// driver consult it for decisions. In kStatic mode the decisions are
-  /// pass-throughs and only the (cheap) observation taps run.
+  /// pass-throughs and only the (cheap) observation taps run. Its mode is
+  /// already resolved (never kAuto).
   SpecPolicy& policy() { return policy_; }
 
   /// Lifetime speculation ledger; updated by every alternative block.
@@ -158,6 +163,11 @@ class Runtime {
   static PolicyConfig resolve_policy(const RuntimeConfig& config) {
     PolicyConfig pc = config.policy;
     if (pc.seed == 0) pc.seed = config.seed ^ 0xa02bdbf7bb3c0a7ull;
+    if (pc.mode == PolicyMode::kAuto) {
+      const bool wall_clock_pool = config.backend == AltBackend::kPool &&
+                                   config.pool.deterministic_seed == 0;
+      pc.mode = wall_clock_pool ? PolicyMode::kAdaptive : PolicyMode::kStatic;
+    }
     return pc;
   }
 

@@ -126,21 +126,28 @@ AuditReport RuntimeAuditor::run(const ProcessTable& table,
     report.violations.push_back("trace mismatch: " + what);
   };
 
+  // Groups with a retired member: the table keeps only the member's
+  // status, so its group count can no longer be checked.
+  std::unordered_set<std::uint64_t> retired_groups;
   for (const auto& [pid, e] : spawn_of) {
     if (!table.exists(pid)) {
       mismatch("traced spawn of pid " + std::to_string(pid) +
                " unknown to the process table");
       continue;
     }
-    const ProcessRecord& rec = table.get(pid);
-    if (rec.alt_group != e.a)
-      mismatch("pid " + std::to_string(pid) + " traced in group " +
-               std::to_string(e.a) + " but tabled in group " +
-               std::to_string(rec.alt_group));
-    if (e.other != kNoPid && rec.parent != e.other)
-      mismatch("pid " + std::to_string(pid) + " traced parent " +
-               std::to_string(e.other) + " but tabled parent " +
-               std::to_string(rec.parent));
+    if (table.has_record(pid)) {
+      const ProcessRecord rec = table.get(pid);
+      if (rec.alt_group != e.a)
+        mismatch("pid " + std::to_string(pid) + " traced in group " +
+                 std::to_string(e.a) + " but tabled in group " +
+                 std::to_string(rec.alt_group));
+      if (e.other != kNoPid && rec.parent != e.other)
+        mismatch("pid " + std::to_string(pid) + " traced parent " +
+                 std::to_string(e.other) + " but tabled parent " +
+                 std::to_string(rec.parent));
+    } else {
+      retired_groups.insert(e.a);
+    }
     const auto fit = fate_of.find(pid);
     if (fit == fate_of.end()) continue;  // still racing at snapshot time
     ProcStatus expected = ProcStatus::kSynced;
@@ -163,6 +170,7 @@ AuditReport RuntimeAuditor::run(const ProcessTable& table,
   for (const ProcessRecord& rec : table.snapshot())
     if (rec.alt_group != 0) ++group_tabled[rec.alt_group];
   for (const auto& [group, traced] : group_spawns) {
+    if (retired_groups.count(group)) continue;
     const auto git = group_tabled.find(group);
     const std::size_t tabled = git == group_tabled.end() ? 0 : git->second;
     if (tabled != traced)

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trace/trace.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace mw {
@@ -34,6 +35,11 @@ std::size_t argmin(const std::vector<double>& v) {
   return best;
 }
 
+PolicyConfig resolve_standalone(PolicyConfig cfg) {
+  if (cfg.mode == PolicyMode::kAuto) cfg.mode = PolicyMode::kStatic;
+  return cfg;
+}
+
 }  // namespace
 
 LatencyReservoir::LatencyReservoir(std::size_t capacity)
@@ -58,7 +64,7 @@ VDuration LatencyReservoir::quantile(double q) const {
 }
 
 SpecPolicy::SpecPolicy(PolicyConfig cfg)
-    : cfg_(cfg),
+    : cfg_(resolve_standalone(cfg)),
       seed_(cfg.seed != 0 ? cfg.seed : 0x9e3779b97f4a7c15ull),
       reservoir_(cfg.latency_window) {}
 
@@ -141,6 +147,7 @@ PolicyStats SpecPolicy::stats() const {
 std::size_t SpecPolicy::decide_width(const PolicyConfig& cfg,
                                      const PolicySnapshot& s,
                                      std::size_t budget) {
+  MW_CHECK(cfg.mode != PolicyMode::kAuto);
   if (cfg.mode == PolicyMode::kStatic || budget == 0) return budget;
   std::size_t width = budget;
   if (s.races >= cfg.min_races) {
@@ -163,6 +170,14 @@ PolicyPlan SpecPolicy::decide_plan(const PolicyConfig& cfg,
                                    const PolicySnapshot& s, std::uint64_t seed,
                                    std::uint64_t step,
                                    const std::vector<double>& base) {
+  return plan_from(cfg, s.alts, seed, step, base);
+}
+
+PolicyPlan SpecPolicy::plan_from(const PolicyConfig& cfg,
+                                 const std::vector<PolicyAltStat>& alts,
+                                 std::uint64_t seed, std::uint64_t step,
+                                 const std::vector<double>& base) {
+  MW_CHECK(cfg.mode != PolicyMode::kAuto);
   PolicyPlan plan;
   plan.priority = base;
   const std::size_t k = base.size();
@@ -170,7 +185,8 @@ PolicyPlan SpecPolicy::decide_plan(const PolicyConfig& cfg,
   plan.order.resize(k);
   for (std::size_t i = 0; i < k; ++i) plan.order[i] = i;
   if (cfg.mode == PolicyMode::kStatic || k == 1) {
-    // Identity order: static submission must be bit-for-bit unchanged.
+    // The one kStatic path: base priorities in the identity order, so
+    // static submission walks the alternatives as given.
     plan.top = argmax(plan.priority);
     plan.deferred = argmin(plan.priority);
     return plan;
@@ -179,7 +195,7 @@ PolicyPlan SpecPolicy::decide_plan(const PolicyConfig& cfg,
   // Blend: base priority + historical win rate per position. Positions the
   // snapshot has never seen score the optimistic 1.0.
   for (std::size_t i = 0; i < k; ++i) {
-    const double rate = i < s.alts.size() ? s.alts[i].win_rate() : 1.0;
+    const double rate = i < alts.size() ? alts[i].win_rate() : 1.0;
     plan.priority[i] += rate;
   }
 
@@ -188,9 +204,9 @@ PolicyPlan SpecPolicy::decide_plan(const PolicyConfig& cfg,
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t boost = kNone;
   std::uint64_t best_staleness = 0;
-  const std::size_t tracked = std::min(k, s.alts.size());
+  const std::size_t tracked = std::min(k, alts.size());
   for (std::size_t i = 0; i < tracked; ++i) {
-    const std::uint64_t staleness = step - s.alts[i].last_boost_step;
+    const std::uint64_t staleness = step - alts[i].last_boost_step;
     if (staleness >= cfg.explore_window && staleness > best_staleness) {
       best_staleness = staleness;
       boost = i;
@@ -223,6 +239,7 @@ PolicyPlan SpecPolicy::decide_plan(const PolicyConfig& cfg,
 VDuration SpecPolicy::decide_hedge_delay(const PolicyConfig& cfg,
                                          const PolicySnapshot& s,
                                          VDuration static_delay) {
+  MW_CHECK(cfg.mode != PolicyMode::kAuto);
   if (cfg.mode == PolicyMode::kStatic) return static_delay;
   // Cold start: below min_latency_samples the reservoir's p95 is undefined
   // (or degenerate); hedging must fall back to the static delay — never to
@@ -235,6 +252,7 @@ VDuration SpecPolicy::decide_hedge_delay(const PolicyConfig& cfg,
 
 bool SpecPolicy::decide_split(const PolicyConfig& cfg, const PolicySnapshot& s,
                               std::uint64_t step, std::size_t fanout) {
+  MW_CHECK(cfg.mode != PolicyMode::kAuto);
   if (cfg.mode == PolicyMode::kStatic) return true;
   if (fanout < 2 || s.races < cfg.min_races) return true;
   if (s.wasted_ratio() <= cfg.waste_high) return true;
@@ -262,16 +280,10 @@ std::size_t SpecPolicy::admission_width(std::size_t budget,
 
 PolicyPlan SpecPolicy::plan_race(std::uint64_t group,
                                  const std::vector<double>& base) {
-  if (cfg_.mode == PolicyMode::kStatic) {
-    PolicyPlan plan;
-    plan.priority = base;
-    plan.order.resize(base.size());
-    for (std::size_t i = 0; i < base.size(); ++i) plan.order[i] = i;
-    return plan;
-  }
+  if (cfg_.mode == PolicyMode::kStatic) return plan_from(cfg_, {}, 0, 0, base);
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t step = ++step_;
-  PolicyPlan plan = decide_plan(cfg_, snapshot_locked(), seed_, step, base);
+  PolicyPlan plan = plan_from(cfg_, alts_, seed_, step, base);
   ++stats_.plans;
   if (plan.explored) ++stats_.explores;
   // The boosted/top position counts as sampled for the explore floor.

@@ -25,7 +25,16 @@
 // derived Rng stream keyed (seed, step) — never from the callers' streams —
 // so seed-replay tests keep their meaning. kStatic mode short-circuits each
 // decision to its pass-through value without touching the step counter, the
-// rng, or the trace stream: bit-for-bit today's behavior.
+// rng, or the trace stream.
+//
+// Default mode per engine: PolicyConfig's default is kAuto, which the owner
+// resolves. Runtime makes it kAdaptive on the wall-clock kPool (no
+// deterministic_seed), where the learned per-position ranking starts the
+// likely winner right after the hinted alternative, and kStatic on every
+// replayable engine (kVirtual, deterministic kPool), whose seed digests and
+// goldens stay bit-for-bit. An engine built without an owner to resolve it
+// (HedgedServer's hedge timing, a bare SpecPolicy) plans statically. An
+// explicit kStatic or kAdaptive is kept as given.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +51,13 @@ enum class PolicyMode {
   kStatic,
   /// Closed-loop: decisions derive from the observed snapshot.
   kAdaptive,
+  /// Unresolved default: the owner picks kStatic or kAdaptive (see the
+  /// determinism paragraph above). No decision ever sees it.
+  kAuto,
 };
 
 struct PolicyConfig {
-  PolicyMode mode = PolicyMode::kStatic;
+  PolicyMode mode = PolicyMode::kAuto;
   /// Seed for the policy's private decision stream. 0 = derive from the
   /// owning component's seed (Runtime / ServiceConfig).
   std::uint64_t seed = 0;
@@ -171,6 +183,7 @@ class LatencyReservoir {
 /// admission, or-parallel splits) and one per HedgedServer (hedge timing).
 class SpecPolicy {
  public:
+  /// kAuto in `cfg` resolves to kStatic here; Runtime resolves it first.
   explicit SpecPolicy(PolicyConfig cfg = {});
 
   const PolicyConfig& config() const { return cfg_; }
@@ -197,10 +210,11 @@ class SpecPolicy {
   static std::size_t decide_width(const PolicyConfig& cfg,
                                   const PolicySnapshot& s, std::size_t budget);
   /// (b) effective priorities for a race of base.size() positions. Static
-  /// mode returns base unchanged. Adaptive mode adds each position's win
-  /// rate to its base priority, then boosts one position to the top slot:
-  /// the stalest position past the explore floor, an epsilon-random
-  /// position (rng keyed (seed, step)), or the win-rate favourite.
+  /// mode returns base unchanged in the identity order. Adaptive mode adds
+  /// each position's win rate to its base priority, then boosts one
+  /// position to the top slot: the stalest position past the explore
+  /// floor, an epsilon-random position (rng keyed (seed, step)), or the
+  /// win-rate favourite. Reads only `s.alts`.
   static PolicyPlan decide_plan(const PolicyConfig& cfg,
                                 const PolicySnapshot& s, std::uint64_t seed,
                                 std::uint64_t step,
@@ -236,6 +250,12 @@ class SpecPolicy {
  private:
   PolicySnapshot snapshot_locked() const;
   void decay_locked();
+  /// decide_plan over the per-position history alone: plan_race ranks
+  /// from alts_ under mu_ without building a whole snapshot.
+  static PolicyPlan plan_from(const PolicyConfig& cfg,
+                              const std::vector<PolicyAltStat>& alts,
+                              std::uint64_t seed, std::uint64_t step,
+                              const std::vector<double>& base);
 
   PolicyConfig cfg_;
   std::uint64_t seed_ = 0;  // resolved (cfg.seed or owner-derived)

@@ -1,12 +1,15 @@
 // Process status lifecycle and the tri-state completion oracle (§2.4.2).
 #pragma once
 
+#include <cstdint>
+
 namespace mw {
 
 /// Status of a speculative process. Transitions:
 ///   Ready -> Running -> {Blocked <-> Running, Synced, Failed, Eliminated}
-/// Synced, Failed and Eliminated are terminal.
-enum class ProcStatus {
+/// Synced, Failed and Eliminated are terminal. One byte: the process table
+/// keeps a status for every pid it ever created.
+enum class ProcStatus : std::uint8_t {
   kReady,       // spawned, not yet scheduled
   kRunning,     // executing
   kBlocked,     // waiting (message receive, source access, alt_wait)

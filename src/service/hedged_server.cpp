@@ -21,6 +21,8 @@ RuntimeConfig local_runtime_config(const ServiceConfig& c) {
   return rc;
 }
 
+// kAuto stays kStatic for hedge timing (SpecPolicy resolves it), while the
+// local runtime resolves it per engine.
 PolicyConfig hedge_policy_config(const ServiceConfig& c) {
   PolicyConfig pc = c.policy;
   if (pc.seed == 0) pc.seed = c.seed ^ 0x68656467706f6cull;  // "hedgpol"

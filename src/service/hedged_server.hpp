@@ -91,8 +91,10 @@ struct ServiceConfig {
   // Adaptive speculation policy (core/spec_policy.hpp). kAdaptive hedges
   // after the observed p95 of completed-request latency instead of the
   // fixed hedge_delay (falling back to hedge_delay while the reservoir is
-  // cold), and the local kPool races inherit the same mode. kStatic is
-  // bit-for-bit today's behavior. policy.seed 0 derives from `seed`.
+  // cold), and the local kPool races inherit the same mode. The default,
+  // kAuto, hedges statically and leaves the local races to the runtime's
+  // per-engine choice (kAdaptive on a wall-clock pool). policy.seed 0
+  // derives from `seed`.
   PolicyConfig policy;
 };
 

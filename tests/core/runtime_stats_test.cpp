@@ -105,5 +105,30 @@ TEST(RuntimeStats, PoolBackendAlsoRecords) {
   EXPECT_EQ(rt.stats().blocks_won, 1u);
 }
 
+TEST(RuntimeStats, SettledBlocksRetireTheirChildrenPastTheWindow) {
+  Runtime rt(virtual_config());
+  World root = rt.make_root();
+  const ProcessTable& table = rt.processes();
+  const std::size_t blocks = ProcessTable::kRecordWindow / 4 + 64;
+  AltOutcome first;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    AltOutcome out = run_alternatives(
+        rt, root,
+        {spin("w", 1), spin("l", 5), spin("a", 1, false), spin("k", 9)});
+    ASSERT_TRUE(out.winner.has_value());
+    if (b == 0) first = std::move(out);
+  }
+  EXPECT_EQ(rt.stats().blocks_won, blocks);
+  EXPECT_EQ(table.process_count(), 1 + 4 * blocks);
+  EXPECT_LE(table.record_count(), ProcessTable::kRecordWindow + 1);
+  EXPECT_TRUE(table.has_record(root.pid()));
+  // The first block's children kept their fates, not their records.
+  for (const AltReport& a : first.alts) {
+    EXPECT_FALSE(table.has_record(a.pid));
+    EXPECT_EQ(table.complete(a.pid),
+              a.success ? Completion::kTrue : Completion::kFalse);
+  }
+}
+
 }  // namespace
 }  // namespace mw

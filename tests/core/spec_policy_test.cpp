@@ -104,7 +104,7 @@ TEST(SpecPolicy, StaticDecisionsArePureStaticPassThrough) {
 }
 
 TEST(SpecPolicy, StaticWrappersNeverAdvanceStateOrStats) {
-  SpecPolicy policy{PolicyConfig{}};  // default config is kStatic
+  SpecPolicy policy{PolicyConfig{}};  // a bare engine resolves kAuto to kStatic
   policy.observe_race(fake_race(4, 1));
   (void)policy.admission_width(8);
   const PolicyPlan plan = policy.plan_race(7, {0.5, 0.25});
@@ -378,6 +378,69 @@ TEST(SpecPolicy, ColdStartSnapshotNeverYieldsZeroHedgeDelay) {
       }
     }
   }
+}
+
+TEST(SpecPolicy, SettledHintedRaceRanksTheWrongHintWinnerSecond) {
+  // race_prune's shape: the hint (base priority 1) is spread evenly over 4
+  // positions and right 75% of the time; a wrong hint's winner is position
+  // 3, or position 2 when the hint is 3. The settled win rates are then
+  // 3/16, 3/16, 4/16 and 6/16, so the blend ranks the wrong-hint winner
+  // right after the hint and the second worker starts it at once.
+  PolicyConfig cfg;
+  cfg.mode = PolicyMode::kAdaptive;
+  cfg.epsilon = 0.0;
+  constexpr std::uint64_t kStep = 100;
+  PolicySnapshot s;
+  for (const std::uint64_t wins : {3u, 3u, 4u, 6u})
+    s.alts.push_back({.spawned = 16, .wins = wins, .last_boost_step = kStep});
+  for (std::size_t hint = 0; hint < 4; ++hint) {
+    std::vector<double> base(4, 0.0);
+    base[hint] = 1.0;
+    const PolicyPlan plan = SpecPolicy::decide_plan(cfg, s, 1, kStep, base);
+    EXPECT_FALSE(plan.explored) << "hint " << hint;
+    ASSERT_EQ(plan.order.size(), 4u);
+    EXPECT_EQ(plan.order[0], hint);
+    EXPECT_EQ(plan.order[1], hint == 3 ? 2u : 3u) << "hint " << hint;
+  }
+}
+
+TEST(SpecPolicy, DefaultModeResolvesPerEngine) {
+  EXPECT_EQ(PolicyConfig{}.mode, PolicyMode::kAuto);
+  auto resolved = [](AltBackend backend, std::uint64_t det_seed,
+                     PolicyMode mode) {
+    RuntimeConfig cfg;
+    cfg.backend = backend;
+    cfg.pool.deterministic_seed = det_seed;
+    cfg.policy.mode = mode;
+    Runtime rt(cfg);
+    return rt.policy().mode();
+  };
+  // Wall-clock kPool learns its race order; the replayable engines do not.
+  EXPECT_EQ(resolved(AltBackend::kPool, 0, PolicyMode::kAuto),
+            PolicyMode::kAdaptive);
+  EXPECT_EQ(resolved(AltBackend::kPool, 7, PolicyMode::kAuto),
+            PolicyMode::kStatic);
+  EXPECT_EQ(resolved(AltBackend::kVirtual, 0, PolicyMode::kAuto),
+            PolicyMode::kStatic);
+  // An explicit mode is kept on every engine.
+  EXPECT_EQ(resolved(AltBackend::kPool, 0, PolicyMode::kStatic),
+            PolicyMode::kStatic);
+  EXPECT_EQ(resolved(AltBackend::kPool, 7, PolicyMode::kAdaptive),
+            PolicyMode::kAdaptive);
+  EXPECT_EQ(resolved(AltBackend::kVirtual, 0, PolicyMode::kAdaptive),
+            PolicyMode::kAdaptive);
+  // No owner to resolve it: a bare engine plans statically.
+  EXPECT_EQ(SpecPolicy{}.mode(), PolicyMode::kStatic);
+}
+
+TEST(SpecPolicyDeath, DecisionsRejectTheUnresolvedMode) {
+  const PolicyConfig cfg;  // kAuto
+  const PolicySnapshot s;
+  EXPECT_DEATH((void)SpecPolicy::decide_plan(cfg, s, 1, 1, {0.0, 1.0}),
+               "MW_CHECK");
+  EXPECT_DEATH((void)SpecPolicy::decide_width(cfg, s, 8), "MW_CHECK");
+  EXPECT_DEATH((void)SpecPolicy::decide_hedge_delay(cfg, s, 5), "MW_CHECK");
+  EXPECT_DEATH((void)SpecPolicy::decide_split(cfg, s, 1, 4), "MW_CHECK");
 }
 
 }  // namespace

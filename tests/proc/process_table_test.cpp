@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -221,11 +222,133 @@ TEST(ProcessTable, SnapshotMatchesTheRecordsCreated) {
   }
 }
 
+/// A settled 4-way block under `parent`: one winner, two eliminated
+/// losers and one failed one, then retired.
+std::array<Pid, 4> settled_block(ProcessTable& t, Pid parent,
+                                 std::uint64_t group) {
+  std::array<Pid, 4> kids;
+  for (Pid& k : kids) k = t.create(parent, group, "alt");
+  t.set_status(kids[0], ProcStatus::kSynced);
+  t.set_status(kids[1], ProcStatus::kEliminated);
+  t.set_status(kids[2], ProcStatus::kEliminated);
+  t.set_status(kids[3], ProcStatus::kFailed);
+  t.retire(kids);
+  return kids;
+}
+
+TEST(ProcessTable, SettledBlocksShrinkToAStatusByte) {
+  ProcessTable t;
+  const Pid root = t.create(kNoPid, 0, "root");  // stays live
+  constexpr std::size_t kBlocks = 250000;
+  for (std::size_t b = 1; b <= kBlocks; ++b) {
+    settled_block(t, root, b);
+    if (b % 25000 == 0) {
+      ASSERT_LE(t.record_count(), ProcessTable::kRecordWindow + 1)
+          << "after " << b << " blocks";
+    }
+  }
+  const Pid last = t.create(root);
+  ASSERT_EQ(last, 2 + 4 * kBlocks);
+  EXPECT_EQ(t.process_count(), last);
+  EXPECT_EQ(t.live_count(), 2u);  // the root and `last`
+  EXPECT_LE(t.record_count(), ProcessTable::kRecordWindow + t.live_count());
+
+  // Pid 3, the first block's first loser, kept only its status; its pid
+  // is still never handed out again.
+  EXPECT_TRUE(t.exists(3));
+  EXPECT_FALSE(t.has_record(3));
+  EXPECT_EQ(t.status(3), ProcStatus::kEliminated);
+  EXPECT_EQ(t.complete(3), Completion::kFalse);
+  EXPECT_EQ(t.complete(2), Completion::kTrue);
+  EXPECT_EQ(t.complete(5), Completion::kFalse);
+  EXPECT_FALSE(t.set_status(3, ProcStatus::kRunning));
+  t.set_label(3, "ignored");  // a retired record takes no label
+
+  // The root lists exactly its held children, in creation order: the
+  // newest window of blocks.
+  const ProcessRecord rec = t.get(root);
+  ASSERT_EQ(rec.children.size(), t.record_count() - 1);
+  EXPECT_EQ(rec.children.back(), last);
+  EXPECT_GT(rec.children.front(), last - ProcessTable::kRecordWindow);
+  for (std::size_t i = 1; i < rec.children.size(); ++i)
+    ASSERT_EQ(rec.children[i], rec.children[i - 1] + 1);
+  EXPECT_TRUE(t.has_record(rec.children.front()));
+  EXPECT_FALSE(t.has_record(rec.children.front() - 1));
+
+  const std::vector<ProcessRecord> all = t.snapshot();
+  ASSERT_EQ(all.size(), t.record_count());
+  EXPECT_EQ(all.front().pid, root);
+  EXPECT_EQ(all[1].pid, rec.children.front());
+  EXPECT_EQ(all.back().pid, last);
+}
+
+TEST(ProcessTable, LivePidsAndTheWindowKeepTheirRecords) {
+  ProcessTable t;
+  const Pid root = t.create(kNoPid);
+  const Pid live = t.create(root, 1, "straggler");
+  t.retire(std::array<Pid, 1>{live});  // not terminal: ignored
+  const std::array<Pid, 4> first = settled_block(t, root, 2);
+  // Inside the window a retired record still answers get().
+  EXPECT_EQ(t.get(first[1]).alt_group, 2u);
+  EXPECT_EQ(t.get(root).children.size(), 5u);
+  for (std::uint64_t g = 3; t.process_count() <= ProcessTable::kRecordWindow + 8;
+       ++g)
+    settled_block(t, root, g);
+  EXPECT_FALSE(t.has_record(first[0]));
+  ASSERT_TRUE(t.has_record(live));
+  EXPECT_EQ(t.get(live).label, "straggler");
+  EXPECT_EQ(t.get(root).children.front(), live);
+  // Settling it late retires it at once: it is already out of the window.
+  t.set_status(live, ProcStatus::kFailed);
+  t.retire(std::array<Pid, 1>{live});
+  EXPECT_FALSE(t.has_record(live));
+  EXPECT_EQ(t.status(live), ProcStatus::kFailed);
+  EXPECT_NE(t.get(root).children.front(), live);
+}
+
+TEST(ProcessTable, RetiringAMiddleChildKeepsTheSiblingOrder) {
+  ProcessTable t;
+  const Pid root = t.create(kNoPid);
+  const Pid a = t.create(root);
+  const Pid b = t.create(root);
+  const Pid c = t.create(root);
+  t.set_status(b, ProcStatus::kEliminated);
+  t.retire(std::array<Pid, 1>{b});
+  for (Pid i = 0; i < ProcessTable::kRecordWindow; ++i) t.create(kNoPid);
+  EXPECT_FALSE(t.has_record(b));
+  EXPECT_EQ(t.get(root).children, (std::vector<Pid>{a, c}));
+  const Pid d = t.create(root);
+  EXPECT_EQ(t.get(root).children, (std::vector<Pid>{a, c, d}));
+}
+
+TEST(ProcessTable, RetiringAChildOfALaterParentLeavesThatParentAlone) {
+  ProcessTable t;
+  const Pid early = t.create(3);  // its parent pid is not handed out yet
+  t.create(kNoPid);
+  const Pid parent = t.create(kNoPid);
+  ASSERT_EQ(parent, 3u);
+  const Pid kid = t.create(parent);
+  t.set_status(early, ProcStatus::kEliminated);
+  t.retire(std::array<Pid, 1>{early});
+  for (Pid i = 0; i < ProcessTable::kRecordWindow; ++i) t.create(kNoPid);
+  EXPECT_FALSE(t.has_record(early));
+  EXPECT_EQ(t.get(parent).children, (std::vector<Pid>{kid}));
+}
+
 TEST(ProcessTableDeath, UnknownPidAborts) {
   ProcessTable t;
   const Pid p = t.create(kNoPid);
   EXPECT_DEATH((void)t.get(kNoPid), "MW_CHECK");
   EXPECT_DEATH((void)t.status(p + 1), "MW_CHECK");
+}
+
+TEST(ProcessTableDeath, GetOfARetiredPidAborts) {
+  ProcessTable t;
+  const Pid p = t.create(kNoPid);
+  t.set_status(p, ProcStatus::kSynced);
+  for (Pid i = 0; i < ProcessTable::kRecordWindow; ++i) t.create(kNoPid);
+  t.retire(std::array<Pid, 1>{p});
+  EXPECT_DEATH((void)t.get(p), "MW_CHECK");
 }
 
 }  // namespace

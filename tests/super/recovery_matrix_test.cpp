@@ -103,7 +103,9 @@ MatrixOutcome run_matrix(std::uint64_t seed) {
     out.crashy_ok = r.ok;
     out.crashy_quarantined = r.quarantined;
     out.total_restarts += r.restarts;
-    if (r.ok) EXPECT_EQ(r.state.load<std::uint32_t>(0), 120u);
+    if (r.ok) {
+      EXPECT_EQ(r.state.load<std::uint32_t>(0), 120u);
+    }
     EXPECT_TRUE(r.ok || r.quarantined);
   }
 
@@ -211,10 +213,12 @@ MatrixOutcome run_matrix(std::uint64_t seed) {
 
   // Every attempt pid the matrix created must have reached a terminal
   // status except the sentinel driver.
-  for (const ProcessRecord& rec : table.snapshot())
-    if (rec.pid != sentinel)
+  for (const ProcessRecord& rec : table.snapshot()) {
+    if (rec.pid != sentinel) {
       EXPECT_TRUE(is_terminal(rec.status))
           << "pid " << rec.pid << " (" << rec.label << ")";
+    }
+  }
   table.set_status(sentinel, ProcStatus::kSynced);
 
   out.audit = auditor.run(table);
