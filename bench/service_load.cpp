@@ -348,11 +348,9 @@ ClusterConfig cluster_config(const LoadParams& p, NodeId self) {
   ClusterConfig c;
   c.seed = kRingSeed;
   c.vnodes = kVnodes;
-  c.beat_interval = vt_ms(10);
   c.peer_health = {.heartbeat_interval = vt_ms(10),
                    .suspect_after = vt_ms(40),
                    .dead_after = vt_ms(120)};
-  c.handoff_retry = vt_ms(10);
   c.probation = vt_ms(60);
   c.service.seed = p.seed + self;
   c.service.max_inflight = p.inflight;

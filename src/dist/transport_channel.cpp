@@ -10,10 +10,6 @@ namespace mw {
 
 namespace {
 
-constexpr std::uint8_t kData = 1;
-constexpr std::uint8_t kAck = 2;
-constexpr std::uint8_t kBeat = 3;
-
 // type + xfer + frag + count + total
 constexpr std::size_t kDataHeader = 1 + 8 + 4 + 4 + 4;
 constexpr std::size_t kMaxFragments = 64;  // one ack-bitmap word
@@ -91,7 +87,7 @@ bool TransportChannel::send(NodeId to, Bytes payload,
     const std::size_t off = static_cast<std::size_t>(i) * frag_bytes;
     const std::size_t n = std::min(frag_bytes, payload.size() - off);
     ByteWriter w;
-    w.put_u8(kData);
+    w.put_u8(kTagData);
     w.put_u64(t.xfer);
     w.put_u32(i);
     w.put_u32(count);
@@ -172,7 +168,7 @@ void TransportChannel::fail_transfer(std::uint64_t xfer, bool deadline_hit) {
 void TransportChannel::send_ack(NodeId to, std::uint64_t xfer,
                                 std::uint64_t bitmap) {
   ByteWriter w;
-  w.put_u8(kAck);
+  w.put_u8(kTagAck);
   w.put_u64(xfer);
   w.put_u64(bitmap);
   ++stats_.acks_sent;
@@ -257,13 +253,13 @@ void TransportChannel::on_message(NodeId from,
   health_.heard_from(from, transport_.now());
   ByteReader r(payload);
   switch (r.get_u8()) {
-    case kData:
+    case kTagData:
       handle_data(from, r);
       break;
-    case kAck:
+    case kTagAck:
       handle_ack(from, r);
       break;
-    case kBeat:
+    case kTagBeat:
       break;  // heard_from above is the entire effect
     default:
       break;  // unknown type: tolerate (forward compatibility)
@@ -287,7 +283,7 @@ void TransportChannel::enable_heartbeats(PeerCallback on_transition) {
 void TransportChannel::heartbeat_tick() {
   if (closed_) return;
   ByteWriter w;
-  w.put_u8(kBeat);
+  w.put_u8(kTagBeat);
   const Bytes beat = w.take();
   for (NodeId peer : health_.watched()) {
     // Beating a dead peer is deliberate: if a partition heals, the beat's

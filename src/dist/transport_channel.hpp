@@ -6,9 +6,13 @@
 //
 // Protocol (all little-endian, riding inside one transport frame):
 //
-//   kData  u8=1 | xfer u64 | frag u32 | count u32 | total u32 | bytes...
-//   kAck   u8=2 | xfer u64 | bitmap u64        (frags the receiver holds)
-//   kBeat  u8=3                                 (heartbeat, no body)
+//   kData  u8=0x81 | xfer u64 | frag u32 | count u32 | total u32 | bytes...
+//   kAck   u8=0x82 | xfer u64 | bitmap u64     (frags the receiver holds)
+//   kBeat  u8=0x83                              (heartbeat, no body)
+//
+// The tags sit above the service protocol's 1-5 (src/service/service.hpp),
+// so one receiver can share a binding between channel frames and raw
+// service datagrams and tell them apart by the first byte alone.
 //
 // A logical message is split into at most 64 fragments (one ack-bitmap
 // word); each RTO expiry retransmits only the fragments the last ack said
@@ -83,6 +87,15 @@ class TransportChannel : public TransportReceiver {
     std::uint64_t frames_sent = 0;       // raw frames (data + ack + beat)
     std::uint64_t heartbeats_sent = 0;
   };
+  static constexpr std::uint8_t kTagData = 0x81;
+  static constexpr std::uint8_t kTagAck = 0x82;
+  static constexpr std::uint8_t kTagBeat = 0x83;
+  /// True when `payload` starts with one of the channel's frame tags.
+  static bool is_channel_frame(std::span<const std::uint8_t> payload) {
+    return !payload.empty() && payload[0] >= kTagData &&
+           payload[0] <= kTagBeat;
+  }
+
   using Handler = std::function<void(NodeId from, const Bytes& payload)>;
   using PeerCallback = std::function<void(NodeId peer, PeerState state)>;
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "trace/trace.hpp"
 
@@ -83,56 +82,49 @@ ClusterNode::ClusterNode(Transport& transport, NodeId self,
       self_(self),
       config_(config),
       effects_(effects),
-      health_(config.peer_health),
       ring_(config.seed, config.vnodes),
+      channel_(transport, self, RetryPolicy{}, config.peer_health,
+               config.seed),
       server_(transport, self, effects, config.service) {
   for (NodeId m : members) {
     members_.insert(m);
     ring_.add(m);
-    if (m != self_) health_.watch(m, transport_.now());
+    if (m != self_) channel_.watch_peer(m);
   }
-  // The server bound itself in its ctor; interpose ahead of it so every
-  // frame passes the cluster rules first.
+  channel_.set_handler([this](NodeId, const Bytes& image) {
+    if (server_.sessions().absorb(image)) ++stats_.handoffs_received;
+  });
+  // The channel and the server bound themselves in their ctors; interpose
+  // ahead of both so every frame passes the cluster rules first.
   transport_.bind(self_, *this);
   update_fence();
   // Restart path: whatever the cluster committed while this node was down
   // (or in a previous life) must replay, not re-execute.
   effects_.refresh();
   reconcile_from_log();
-  beat_timer_ = transport_.schedule(config_.beat_interval,
-                                    [this] { beat_tick(); });
+  channel_.enable_heartbeats(
+      [this](NodeId peer, PeerState state) { on_peer(peer, state); });
 }
 
 ClusterNode::~ClusterNode() {
-  if (beat_timer_ != kNoTimer) transport_.cancel(beat_timer_);
-  for (auto& [key, ph] : handoffs_)
-    if (ph.timer != kNoTimer) transport_.cancel(ph.timer);
+  for (const auto& [peer, timer] : probation_) transport_.cancel(timer);
   transport_.unbind(self_);
-  // server_'s dtor runs next and unbinds again — harmlessly idempotent.
+  // server_'s and channel_'s dtors run next and unbind again — harmlessly
+  // idempotent; the channel's cancels its own timers.
 }
 
 void ClusterNode::on_message(NodeId from,
                              std::span<const std::uint8_t> payload) {
-  if (members_.count(from) && from != self_)
-    health_.heard_from(from, transport_.now());
-  switch (svc_message_tag(payload)) {
-    case kSvcTagRequest:
-      if (auto r = decode_request(payload))
-        handle_request_frame(from, *r, payload);
-      return;
-    case kSvcTagHandoff:
-      if (auto h = decode_handoff(payload)) handle_handoff(from, *h);
-      return;
-    case kSvcTagHandoffAck:
-      if (auto a = decode_handoff_ack(payload)) handle_handoff_ack(*a);
-      return;
-    case kSvcTagBeat:
-      if (members_.count(from)) return;  // peer liveness, consumed above
-      break;  // a backend's beat: the server's PeerHealth wants it
-    default:
-      break;
+  if (svc_message_tag(payload) == kSvcTagRequest) {
+    if (auto r = decode_request(payload))
+      handle_request_frame(from, *r, payload);
+  } else if (TransportChannel::is_channel_frame(payload)) {
+    // By tag, not by sender: a departing node's handoff arrives after the
+    // survivors have already removed it from members_.
+    channel_.on_message(from, payload);
+  } else {
+    server_.on_message(from, payload);
   }
-  server_.on_message(from, payload);
 }
 
 void ClusterNode::handle_request_frame(NodeId from, const SvcRequest& r,
@@ -155,8 +147,8 @@ void ClusterNode::handle_request_frame(NodeId from, const SvcRequest& r,
   // Cluster-wide replay check: an effect committed by ANY node (found via
   // the shared log) answers a retry from cache, never re-executes. The
   // refresh matters on the socket backend, where sibling processes appended
-  // to the shared file since the last beat; on the sim's shared in-memory
-  // log it is a no-op.
+  // to the shared file since this node last looked; on the sim's shared
+  // in-memory log it is a no-op.
   effects_.refresh();
   advance_log_index();
   auto it = log_index_.find({r.client, r.seq});
@@ -171,54 +163,27 @@ void ClusterNode::handle_request_frame(NodeId from, const SvcRequest& r,
   server_.on_message(from, payload);
 }
 
-void ClusterNode::handle_handoff(NodeId /*from*/, const SvcHandoff& h) {
-  if (!server_.sessions().absorb(h.image)) return;  // bad image: no ack
-  ++stats_.handoffs_received;
-  const Bytes ack = encode_handoff_ack({self_, h.epoch});
-  transport_.send(self_, h.from,
-                  std::span<const std::uint8_t>(ack.data(), ack.size()));
-}
-
-void ClusterNode::handle_handoff_ack(const SvcHandoffAck& a) {
-  auto it = handoffs_.find({a.from, a.epoch});
-  if (it == handoffs_.end()) return;  // duplicate ack
-  if (it->second.timer != kNoTimer) transport_.cancel(it->second.timer);
-  handoffs_.erase(it);
-  ++stats_.handoff_acks;
-}
-
-void ClusterNode::beat_tick() {
-  const VTime now = transport_.now();
-  const Bytes beat = encode_beat();
-  for (NodeId m : members_)
-    if (m != self_)
-      transport_.send(self_, m,
-                      std::span<const std::uint8_t>(beat.data(), beat.size()));
-  for (const PeerHealth::Transition& t : health_.check(now)) {
-    if (t.state == PeerState::kDead && ring_.contains(t.peer)) {
-      probation_until_.erase(t.peer);
-      evict(t.peer);
-    } else if (t.state == PeerState::kAlive && !ring_.contains(t.peer) &&
-               members_.count(t.peer)) {
-      // Resurrection: half-open probation before the ring churns.
-      probation_until_[t.peer] = now + config_.probation;
-    }
+void ClusterNode::on_peer(NodeId peer, PeerState state) {
+  if (state != PeerState::kAlive) {
+    cancel_probation(peer);  // relapsed: wait for the next recovery
+    if (state == PeerState::kDead && ring_.contains(peer)) evict(peer);
+    return;
   }
-  for (auto it = probation_until_.begin(); it != probation_until_.end();) {
-    const NodeId peer = it->first;
-    if (health_.state(peer, now) != PeerState::kAlive) {
-      it = probation_until_.erase(it);  // relapsed; wait for the next beat
-    } else if (now >= it->second) {
-      it = probation_until_.erase(it);
+  if (ring_.contains(peer) || !members_.count(peer)) return;
+  // Resurrection: half-open probation before the ring churns.
+  probation_[peer] = transport_.schedule(config_.probation, [this, peer] {
+    probation_.erase(peer);
+    // Silent since the last health check: let its transition decide.
+    if (channel_.health().state(peer, transport_.now()) == PeerState::kAlive)
       rejoin(peer);
-    } else {
-      ++it;
-    }
-  }
-  effects_.refresh();
-  advance_log_index();
-  beat_timer_ = transport_.schedule(config_.beat_interval,
-                                    [this] { beat_tick(); });
+  });
+}
+
+void ClusterNode::cancel_probation(NodeId peer) {
+  auto it = probation_.find(peer);
+  if (it == probation_.end()) return;
+  transport_.cancel(it->second);
+  probation_.erase(it);
 }
 
 void ClusterNode::evict(NodeId peer) {
@@ -227,15 +192,6 @@ void ClusterNode::evict(NodeId peer) {
   ++stats_.evictions;
   MW_TRACE_EVENT(trace::EventKind::kSvcClusterEvict, kNoPid, kNoPid, peer,
                  epoch_, transport_.now());
-  // A dead peer will never ack — its committed state lives in the log.
-  for (auto it = handoffs_.begin(); it != handoffs_.end();) {
-    if (it->second.to == peer) {
-      if (it->second.timer != kNoTimer) transport_.cancel(it->second.timer);
-      it = handoffs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   update_fence();
   if (!fenced_) {
     // This node may have just inherited the dead peer's ranges: redo the
@@ -270,52 +226,18 @@ void ClusterNode::hand_off_lost_sessions() {
       return ring_.owner_of(client) == m;
     };
     Bytes image = server_.sessions().snapshot_clients(owned_by_m);
-    // MWSES01 layout: magic u32, then the session count.
-    ByteReader r(std::span<const std::uint8_t>(image.data(), image.size()));
-    r.get_u32();
-    const std::uint64_t carried = r.get_u64();
+    const std::size_t carried = server_.sessions().erase_clients(owned_by_m);
     if (carried == 0) continue;
-    server_.sessions().erase_clients(owned_by_m);
-    queue_handoff(m, std::move(image), carried);
+    ++stats_.handoffs_sent;
+    MW_TRACE_EVENT(trace::EventKind::kSvcClusterHandoff, kNoPid, kNoPid, m,
+                   carried, transport_.now());
+    // Never resent: a lost handoff leaves the shared log as the witness,
+    // exactly as a node death does (rule 4).
+    if (!channel_.send(m, std::move(image),
+                       [this] { ++stats_.handoffs_delivered; },
+                       [this] { ++stats_.handoffs_failed; }))
+      ++stats_.handoffs_failed;  // above max_message_bytes()
   }
-}
-
-void ClusterNode::queue_handoff(NodeId to, Bytes image,
-                                std::uint64_t carried) {
-  PendingHandoff ph;
-  ph.to = to;
-  ph.epoch = epoch_;
-  ph.image = std::move(image);
-  ph.carried = carried;
-  send_handoff(ph);
-  ++stats_.handoffs_sent;
-  MW_TRACE_EVENT(trace::EventKind::kSvcClusterHandoff, kNoPid, kNoPid, to,
-                 carried, transport_.now());
-  const auto key = std::make_pair(to, ph.epoch);
-  auto [it, inserted] = handoffs_.emplace(key, std::move(ph));
-  if (!inserted) return;  // same dest + epoch: already pending
-  const std::uint64_t epoch = it->second.epoch;
-  it->second.timer = transport_.schedule(
-      config_.handoff_retry, [this, to, epoch] { retry_handoff(to, epoch); });
-}
-
-void ClusterNode::retry_handoff(NodeId to, std::uint64_t epoch) {
-  auto it = handoffs_.find({to, epoch});
-  if (it == handoffs_.end()) return;
-  ++stats_.handoff_retries;
-  send_handoff(it->second);
-  it->second.timer = transport_.schedule(
-      config_.handoff_retry, [this, to, epoch] { retry_handoff(to, epoch); });
-}
-
-void ClusterNode::send_handoff(const PendingHandoff& ph) {
-  SvcHandoff h;
-  h.from = self_;
-  h.epoch = ph.epoch;
-  h.image = ph.image;
-  const Bytes frame = encode_handoff(h);
-  transport_.send(self_, ph.to,
-                  std::span<const std::uint8_t>(frame.data(), frame.size()));
 }
 
 void ClusterNode::update_fence() {
@@ -371,14 +293,14 @@ void ClusterNode::respond_direct(NodeId client, std::uint64_t seq,
 void ClusterNode::add_node(NodeId node) {
   members_.insert(node);
   if (node == self_) return;
-  health_.watch(node, transport_.now());
+  channel_.watch_peer(node);
   if (!ring_.contains(node)) rejoin(node);
 }
 
 void ClusterNode::remove_node(NodeId node) {
   members_.erase(node);
-  if (node != self_) health_.forget(node);
-  probation_until_.erase(node);
+  if (node != self_) channel_.forget_peer(node);
+  cancel_probation(node);
   if (!ring_.contains(node)) {
     update_fence();
     return;

@@ -33,15 +33,23 @@
 //      shed_pendings_if). Committing after losing ownership could race the
 //      new owner into a double execution.
 //   4. Handoff + reconciliation — planned moves (rejoin after probation,
-//      add_node/remove_node) ship an MWSES01 snapshot of the moved
-//      sessions in a kSvcHandoff frame, retried until the kSvcHandoffAck
-//      arrives; SessionTable::absorb is idempotent and monotone, so
-//      duplicated or reordered handoffs are no-ops. Node *death* cannot
-//      hand anything off — the survivors instead redo the shared EffectLog
+//      add_node/remove_node) send an MWSES01 snapshot of the moved
+//      sessions to the new owner over the node's TransportChannel, which
+//      fragments, acks, retries and deduplicates it; SessionTable::absorb
+//      is idempotent and monotone, so a reordered handoff is a no-op. A
+//      handoff that fails (retry budget spent, or an image above the
+//      channel's max_message_bytes()) is counted, never resent: like a
+//      node's *death*, which cannot hand anything off, it leaves the
+//      shared EffectLog as the witness. The new owner redoes that log
 //      (SessionTable::reconcile), which holds every committed effect
 //      cluster-wide; and every node checks arriving (client, seq) pairs
 //      against the log so a retry of an effect committed elsewhere replays
 //      the logged value instead of re-executing.
+//
+// Node-to-node traffic (handoffs and peer-liveness heartbeats) rides the
+// channel; client requests and responses stay raw datagrams, because the
+// session layer must see their duplicates. The channel's frame tags sit
+// above the service protocol's, so on_message routes by the first byte.
 //
 // The ring is eventually consistent — there is deliberately no consensus
 // layer. Rules 1–4 close every window the fault matrix drives (drop, dup,
@@ -56,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/transport_channel.hpp"
 #include "service/hedged_server.hpp"
 #include "service/service.hpp"
 #include "service/service_client.hpp"
@@ -99,11 +108,11 @@ class HashRing {
 struct ClusterConfig {
   std::uint64_t seed = 1;      // ring seed — identical cluster-wide
   std::size_t vnodes = 16;     // virtual points per node
-  VDuration beat_interval = vt_ms(10);  // node-to-node liveness beats
+  /// Node-to-node liveness: the channel beats every peer at
+  /// heartbeat_interval and evicts one silent past dead_after.
   PeerHealthConfig peer_health{.heartbeat_interval = vt_ms(10),
                                .suspect_after = vt_ms(40),
                                .dead_after = vt_ms(120)};
-  VDuration handoff_retry = vt_ms(10);  // resend cadence until the ack
   /// Breaker-style resurrection: a dead peer heard from again must stay
   /// alive this long before it rejoins the ring (half-open probation — a
   /// flapping node must not churn ownership on every beat).
@@ -118,25 +127,25 @@ struct ClusterStats {
   std::uint64_t evictions = 0;      // peers dropped from the ring
   std::uint64_t rejoins = 0;        // peers re-added after probation
   std::uint64_t handoffs_sent = 0;
-  std::uint64_t handoff_retries = 0;
+  std::uint64_t handoffs_delivered = 0;  // every fragment acked
+  std::uint64_t handoffs_failed = 0;     // retries spent, or image too big
   std::uint64_t handoffs_received = 0;
-  std::uint64_t handoff_acks = 0;   // acks that settled a pending handoff
   std::uint64_t log_replays = 0;    // answered from the cluster-wide log
   std::uint64_t reconciles = 0;     // EffectLog redo passes
   std::uint64_t revoked = 0;        // pendings shed uncommitted
 };
 
 /// One cluster member: interposes on the node's transport binding ahead of
-/// its embedded HedgedServer, enforcing the safety rules above before any
-/// frame reaches the service. Single-threaded on the transport's driver
-/// thread, like everything on the seam.
+/// its TransportChannel and its embedded HedgedServer, enforcing the safety
+/// rules above before any request reaches the service. Single-threaded on
+/// the transport's driver thread, like everything on the seam.
 class ClusterNode : public TransportReceiver {
  public:
   /// `members` is the configured universe (all node IDs, self included) —
-  /// the fencing denominator. All start presumed alive; the first beats
-  /// settle reality. `effects` is the cluster-shared durable sink: one
-  /// EffectLog object shared by every node in-process (sim), or a
-  /// FileEffectLog over one shared file across processes (socket).
+  /// the fencing denominator. All start presumed alive; the channel's
+  /// heartbeats settle reality. `effects` is the cluster-shared durable
+  /// sink: one EffectLog object shared by every node in-process (sim), or
+  /// a FileEffectLog over one shared file across processes (socket).
   ClusterNode(Transport& transport, NodeId self,
               const std::vector<NodeId>& members, EffectLog& effects,
               ClusterConfig config = {});
@@ -163,26 +172,16 @@ class ClusterNode : public TransportReceiver {
   void on_message(NodeId from, std::span<const std::uint8_t> payload) override;
 
  private:
-  struct PendingHandoff {
-    NodeId to = 0;
-    std::uint64_t epoch = 0;
-    Bytes image;
-    std::uint64_t carried = 0;  // sessions in the image
-    TimerId timer = kNoTimer;
-  };
-
   void handle_request_frame(NodeId from, const SvcRequest& r,
                             std::span<const std::uint8_t> payload);
-  void handle_handoff(NodeId from, const SvcHandoff& h);
-  void handle_handoff_ack(const SvcHandoffAck& a);
-  void beat_tick();
+  /// The channel's PeerHealth transitions: evict the dead, put the
+  /// resurrected on probation.
+  void on_peer(NodeId peer, PeerState state);
+  void cancel_probation(NodeId peer);
   void evict(NodeId peer);
   void rejoin(NodeId peer);
   /// Revokes + hands off everything this node holds but no longer owns.
   void hand_off_lost_sessions();
-  void queue_handoff(NodeId to, Bytes image, std::uint64_t carried);
-  void retry_handoff(NodeId to, std::uint64_t epoch);
-  void send_handoff(const PendingHandoff& ph);
   void update_fence();
   void reconcile_from_log();
   void advance_log_index();
@@ -193,20 +192,20 @@ class ClusterNode : public TransportReceiver {
   NodeId self_;
   ClusterConfig config_;
   EffectLog& effects_;
-  PeerHealth health_;
   HashRing ring_;
   std::set<NodeId> members_;  // configured universe (fencing denominator)
   std::uint64_t epoch_ = 0;   // bumped on every local ring change
   bool fenced_ = false;
-  std::map<NodeId, VTime> probation_until_;
-  std::map<std::pair<NodeId, std::uint64_t>, PendingHandoff> handoffs_;
+  std::map<NodeId, TimerId> probation_;  // peer -> its rejoin timer
   // Cluster-wide (client, seq) -> value index over the shared EffectLog,
   // advanced incrementally — the admission-time replay check.
   std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> log_index_;
   std::size_t log_seen_ = 0;
-  TimerId beat_timer_ = kNoTimer;
   ClusterStats stats_;
-  HedgedServer server_;  // last: its ctor binds, then we re-bind over it
+  // The channel binds first, the server re-binds over it, and the ctor
+  // re-binds this node over both; on_message hands each its frames.
+  TransportChannel channel_;
+  HedgedServer server_;
 };
 
 /// Client-side placement: the same seeded ring, attached to a

@@ -75,24 +75,6 @@ Bytes encode_beat() {
   return w.take();
 }
 
-Bytes encode_handoff(const SvcHandoff& h) {
-  ByteWriter w;
-  w.put_u8(kSvcTagHandoff);
-  w.put_u64(h.from);
-  w.put_u64(h.epoch);
-  w.put_u64(h.image.size());
-  w.put_bytes(std::span<const std::uint8_t>(h.image.data(), h.image.size()));
-  return w.take();
-}
-
-Bytes encode_handoff_ack(const SvcHandoffAck& a) {
-  ByteWriter w;
-  w.put_u8(kSvcTagHandoffAck);
-  w.put_u64(a.from);
-  w.put_u64(a.epoch);
-  return w.take();
-}
-
 std::uint8_t svc_message_tag(std::span<const std::uint8_t> payload) {
   return payload.empty() ? 0 : payload[0];
 }
@@ -144,30 +126,6 @@ std::optional<SvcExecDone> decode_exec_done(
   SvcExecDone out;
   out.ticket = r.get_u64();
   out.value = r.get_u64();
-  if (!r.ok()) return std::nullopt;
-  return out;
-}
-
-std::optional<SvcHandoff> decode_handoff(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  if (r.get_u8() != kSvcTagHandoff) return std::nullopt;
-  SvcHandoff out;
-  out.from = r.get_u64();
-  out.epoch = r.get_u64();
-  const std::uint64_t len = r.get_u64();
-  if (!r.ok() || len > r.remaining()) return std::nullopt;
-  out.image = r.get_blob(static_cast<std::size_t>(len));
-  if (!r.ok()) return std::nullopt;
-  return out;
-}
-
-std::optional<SvcHandoffAck> decode_handoff_ack(
-    std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  if (r.get_u8() != kSvcTagHandoffAck) return std::nullopt;
-  SvcHandoffAck out;
-  out.from = r.get_u64();
-  out.epoch = r.get_u64();
   if (!r.ok()) return std::nullopt;
   return out;
 }

@@ -8,7 +8,9 @@
 // Message protocol (raw transport datagrams — deliberately *not* riding
 // TransportChannel: the reliable channel's duplicate suppression would
 // shield the server from exactly the retries and net.dup deliveries the
-// session layer exists to absorb):
+// session layer exists to absorb). Node-to-node cluster traffic (session
+// handoff, peer liveness) does ride a TransportChannel, whose frame tags
+// start at 0x81 so they never collide with these (src/service/cluster):
 //
 //   kSvcRequest  u8=1 | client u64 | seq u64 | deadline u64 | work u64
 //                | payload u64                          client  -> server
@@ -18,9 +20,6 @@
 //                                                       server  -> backend
 //   kSvcExecDone u8=4 | ticket u64 | value u64          backend -> server
 //   kSvcBeat     u8=5                                   backend -> server
-//   kSvcHandoff  u8=6 | from u64 | epoch u64 | len u64
-//                | image bytes                          node    -> node
-//   kSvcHandoffAck u8=7 | from u64 | epoch u64         node    -> node
 //
 // `deadline` and `budget` are relative ticks (virtual on sim, µs on
 // sockets) — absolute times cannot cross transports whose clocks differ.
@@ -85,29 +84,11 @@ struct SvcExecDone {
   std::uint64_t value = 0;
 };
 
-/// Session-ownership transfer between cluster nodes (src/service/cluster).
-/// `image` is an MWSES01 SessionTable snapshot restricted to the clients
-/// whose ownership moved; `epoch` is the sender's ring epoch, so a receiver
-/// can discard a handoff that raced a newer ring change. Retried until the
-/// matching ack arrives — absorb() is idempotent, so duplicates are safe.
-struct SvcHandoff {
-  NodeId from = 0;
-  std::uint64_t epoch = 0;
-  Bytes image;
-};
-
-struct SvcHandoffAck {
-  NodeId from = 0;
-  std::uint64_t epoch = 0;
-};
-
 Bytes encode_request(const SvcRequest& r);
 Bytes encode_response(const SvcResponse& r);
 Bytes encode_exec(const SvcExec& e);
 Bytes encode_exec_done(const SvcExecDone& d);
 Bytes encode_beat();
-Bytes encode_handoff(const SvcHandoff& h);
-Bytes encode_handoff_ack(const SvcHandoffAck& a);
 
 /// First byte of a service payload, or 0 for an empty/foreign frame.
 std::uint8_t svc_message_tag(std::span<const std::uint8_t> payload);
@@ -117,8 +98,6 @@ inline constexpr std::uint8_t kSvcTagResponse = 2;
 inline constexpr std::uint8_t kSvcTagExec = 3;
 inline constexpr std::uint8_t kSvcTagExecDone = 4;
 inline constexpr std::uint8_t kSvcTagBeat = 5;
-inline constexpr std::uint8_t kSvcTagHandoff = 6;
-inline constexpr std::uint8_t kSvcTagHandoffAck = 7;
 
 /// Decoders return nullopt on any truncated or mis-tagged frame — an
 /// unreliable transport may hand the service anything.
@@ -126,9 +105,6 @@ std::optional<SvcRequest> decode_request(std::span<const std::uint8_t> p);
 std::optional<SvcResponse> decode_response(std::span<const std::uint8_t> p);
 std::optional<SvcExec> decode_exec(std::span<const std::uint8_t> p);
 std::optional<SvcExecDone> decode_exec_done(std::span<const std::uint8_t> p);
-std::optional<SvcHandoff> decode_handoff(std::span<const std::uint8_t> p);
-std::optional<SvcHandoffAck> decode_handoff_ack(
-    std::span<const std::uint8_t> p);
 
 /// One committed side effect. The log is the service's *external* durable
 /// sink — it outlives the server object, which is exactly what makes the

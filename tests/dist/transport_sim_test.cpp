@@ -396,7 +396,7 @@ TEST(TransportChannel, ForgedTotalIsDroppedUnackedAndKeepsNoState) {
   // genuine sender will use next: it must neither be acked nor leave an
   // inbound entry that shadows the real transfer.
   ByteWriter w;
-  w.put_u8(1);  // kData
+  w.put_u8(TransportChannel::kTagData);
   w.put_u64(1);
   w.put_u32(0);
   w.put_u32(2);

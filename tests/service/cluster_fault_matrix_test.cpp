@@ -52,12 +52,12 @@ struct ClusterOutcome {
   std::uint64_t evictions = 0;
   std::uint64_t rejoins = 0;
   std::uint64_t handoffs_sent = 0;
-  std::uint64_t handoff_acks = 0;
+  std::uint64_t handoffs_delivered = 0;
   std::uint64_t revoked = 0;
   std::uint64_t fence_sheds = 0;
   std::size_t leftover_pendings = 0;
   int leaked_pages = 0;
-  std::string digest;
+  std::uint64_t digest = 0;
   std::string log;
 };
 
@@ -89,11 +89,9 @@ ClusterOutcome run_matrix(std::uint64_t seed) {
       ClusterConfig c;
       c.seed = kRingSeed;
       c.vnodes = kVnodes;
-      c.beat_interval = vt_ms(5);
       c.peer_health = {.heartbeat_interval = vt_ms(5),
                        .suspect_after = vt_ms(15),
                        .dead_after = vt_ms(40)};
-      c.handoff_retry = vt_ms(5);
       c.probation = vt_ms(20);
       c.service.seed = svc_seed;
       c.service.service_mean = vt_ms(1);
@@ -200,7 +198,7 @@ ClusterOutcome run_matrix(std::uint64_t seed) {
       out.evictions += n->stats().evictions;
       out.rejoins += n->stats().rejoins;
       out.handoffs_sent += n->stats().handoffs_sent;
-      out.handoff_acks += n->stats().handoff_acks;
+      out.handoffs_delivered += n->stats().handoffs_delivered;
       out.revoked += n->stats().revoked;
       out.fence_sheds += n->stats().fence_sheds;
       out.leftover_pendings +=

@@ -65,11 +65,9 @@ ClusterConfig socket_cluster_config(NodeId self) {
   ClusterConfig c;
   c.seed = kRingSeed;
   c.vnodes = kVnodes;
-  c.beat_interval = vt_ms(10);
   c.peer_health = {.heartbeat_interval = vt_ms(10),
                    .suspect_after = vt_ms(60),
                    .dead_after = vt_ms(150)};
-  c.handoff_retry = vt_ms(20);
   c.probation = vt_ms(100);
   c.service.seed = self;
   c.service.service_mean = vt_ms(1);

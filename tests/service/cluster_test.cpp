@@ -1,8 +1,8 @@
 // Cluster-layer tests on the deterministic SimTransport: ring placement,
-// handoff frames, and the safety rules (ownership, fencing, revocation,
-// handoff + log reconciliation) end to end. The seeded chaos sweep lives
-// in cluster_fault_matrix_test.cpp; the forked-process SIGKILL variant in
-// cluster_socket_test.cpp.
+// handoffs over the node's TransportChannel, and the safety rules
+// (ownership, fencing, revocation, handoff + log reconciliation) end to
+// end. The seeded chaos sweep lives in cluster_fault_matrix_test.cpp; the
+// forked-process SIGKILL variant in cluster_socket_test.cpp.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -32,11 +32,9 @@ ClusterConfig cl_config(std::uint64_t svc_seed) {
   ClusterConfig c;
   c.seed = kRingSeed;  // identical on every node and on the router
   c.vnodes = kVnodes;
-  c.beat_interval = vt_ms(5);
   c.peer_health = {.heartbeat_interval = vt_ms(5),
                    .suspect_after = vt_ms(15),
                    .dead_after = vt_ms(40)};
-  c.handoff_retry = vt_ms(5);
   c.probation = vt_ms(20);
   c.service.service_mean = vt_ms(1);
   c.service.hedge_delay = vt_ms(2);
@@ -58,8 +56,9 @@ ClientConfig routed_client() {
 /// in-process EffectLog (the sim stand-in for the durable cluster log), and
 /// a ClusterRouter for clients 200+.
 struct SimCluster {
-  explicit SimCluster(std::size_t n, std::uint64_t seed = 1)
-      : transport(queue, svc_link(), seed) {
+  explicit SimCluster(std::size_t n, std::uint64_t seed = 1,
+                      std::size_t max_payload = kMaxFrameBytes)
+      : transport(queue, svc_link(), seed, max_payload) {
     for (std::size_t i = 0; i < n; ++i) ids.push_back(NodeId(100 + i));
     for (std::size_t i = 0; i < n; ++i)
       nodes.push_back(std::make_unique<ClusterNode>(
@@ -180,39 +179,6 @@ TEST(HashRing, PreferenceListsEveryMemberOwnerFirst) {
   HashRing empty(kRingSeed, kVnodes);
   EXPECT_EQ(empty.owner_of(200), 0u);
   EXPECT_TRUE(empty.preference(200).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Handoff frames
-
-TEST(ClusterProto, HandoffFramesRoundTrip) {
-  SvcHandoff h;
-  h.from = 101;
-  h.epoch = 9;
-  h.image = Bytes{1, 2, 3, 4, 5};
-  auto h2 = decode_handoff(encode_handoff(h));
-  ASSERT_TRUE(h2);
-  EXPECT_EQ(h2->from, 101u);
-  EXPECT_EQ(h2->epoch, 9u);
-  EXPECT_EQ(h2->image, h.image);
-
-  SvcHandoffAck a{101, 9};
-  auto a2 = decode_handoff_ack(encode_handoff_ack(a));
-  ASSERT_TRUE(a2);
-  EXPECT_EQ(a2->from, 101u);
-  EXPECT_EQ(a2->epoch, 9u);
-}
-
-TEST(ClusterProto, HandoffDecoderRejectsGarbage) {
-  SvcHandoff h;
-  h.from = 1;
-  h.epoch = 1;
-  h.image = Bytes{9, 9, 9};
-  Bytes frame = encode_handoff(h);
-  Bytes truncated(frame.begin(), frame.end() - 1);  // image cut short
-  EXPECT_FALSE(decode_handoff(truncated));
-  EXPECT_FALSE(decode_handoff_ack(frame));  // wrong tag
-  EXPECT_FALSE(decode_handoff(encode_handoff_ack({1, 1})));
 }
 
 // ---------------------------------------------------------------------------
@@ -399,15 +365,15 @@ TEST(ClusterSim, PlannedGrowthHandsOffSessionsAndSettlesAcks) {
   c.run_for(vt_ms(100));
 
   // The movers' sessions crossed: absorbed at 102, erased at the old
-  // owners, and every handoff settled with an ack.
+  // owners, and the channel acked every handoff.
   EXPECT_GE(c.node(102).stats().handoffs_received, 1u);
-  std::uint64_t sent = 0, acks = 0;
+  std::uint64_t sent = 0, delivered = 0;
   for (auto& n : c.nodes) {
     sent += n->stats().handoffs_sent;
-    acks += n->stats().handoff_acks;
+    delivered += n->stats().handoffs_delivered;
   }
   EXPECT_GE(sent, 1u);
-  EXPECT_EQ(acks, sent);
+  EXPECT_EQ(delivered, sent);
   for (NodeId m : movers) {
     EXPECT_NE(c.node(102).server().sessions().find(m), nullptr);
     EXPECT_EQ(c.node(100).server().sessions().find(m), nullptr);
@@ -426,6 +392,132 @@ TEST(ClusterSim, PlannedGrowthHandsOffSessionsAndSettlesAcks) {
   EXPECT_GE(c.node(102).server().stats().ok, 3u);
   EXPECT_EQ(c.effects.size(), 6u);
   EXPECT_EQ(c.effects.duplicates(), 0u);
+}
+
+/// Clients >= `first` that node 100 owns in the 2-node ring and 102 owns
+/// once it joins: exactly the sessions 100 must hand to the newcomer.
+std::vector<NodeId> movers_to_102(std::size_t n, NodeId first) {
+  HashRing before(kRingSeed, kVnodes), after(kRingSeed, kVnodes);
+  for (NodeId id : {100, 101}) {
+    before.add(id);
+    after.add(id);
+  }
+  after.add(102);
+  std::vector<NodeId> out;
+  for (NodeId cand = first; out.size() < n; ++cand)
+    if (before.owner_of(cand) == 100 && after.owner_of(cand) == 102)
+      out.push_back(cand);
+  return out;
+}
+
+/// Gives each client a committed seq 1 in node 100's session table. The
+/// effects go to a scratch log, so only a handoff can carry the sessions.
+void seed_sessions(SimCluster& c, const std::vector<NodeId>& clients) {
+  EffectLog scratch;
+  SessionTable& table = c.node(100).server().sessions();
+  for (NodeId cl : clients) {
+    ASSERT_EQ(table.begin(cl, 1), SessionVerdict::kExecute);
+    table.commit(cl, 1, SvcStatus::kOk, service_reference(cl, 40), scratch);
+  }
+}
+
+TEST(ClusterSim, PlannedGrowthHandsTenThousandSessionsOverInOneEpoch) {
+  SimCluster c(2);
+  const std::vector<NodeId> movers = movers_to_102(10000, 10000);
+  seed_sessions(c, movers);
+  const std::uint64_t epoch = c.node(100).epoch();
+
+  c.add_member(102, 99);
+  EXPECT_EQ(c.node(100).epoch(), epoch + 1);
+  c.run_for(vt_ms(100));
+
+  // One ring change, one multi-fragment channel transfer, fully acked.
+  const ClusterStats& s = c.node(100).stats();
+  EXPECT_EQ(s.handoffs_sent, 1u);
+  EXPECT_EQ(s.handoffs_delivered, s.handoffs_sent);
+  EXPECT_EQ(s.handoffs_failed, 0u);
+  EXPECT_EQ(c.node(102).stats().handoffs_received, 1u);
+  for (NodeId m : movers) {
+    ASSERT_NE(c.node(102).server().sessions().find(m), nullptr) << m;
+    ASSERT_EQ(c.node(100).server().sessions().find(m), nullptr) << m;
+  }
+}
+
+TEST(ClusterSim, HandoffAboveTheChannelLimitFailsAndTheLogStillAnswers) {
+  // 4 KiB frames cap a channel message at 64 x (4096 - 21) B, about 5,200
+  // sessions, so 100's handoff of 6,003 is refused up front.
+  SimCluster c(2, 1, /*max_payload=*/4096);
+  const std::vector<NodeId> movers = movers_to_102(3, 200);
+  std::vector<ServiceClient*> cls;
+  for (NodeId m : movers) {
+    ServiceClient& cl = c.client(m);
+    cls.push_back(&cl);
+    cl.call(40, m);
+  }
+  c.run_for(vt_ms(50));
+  for (ServiceClient* cl : cls) {
+    ASSERT_EQ(cl->records().size(), 1u);
+    ASSERT_TRUE(cl->records()[0].ok());
+  }
+  seed_sessions(c, movers_to_102(6000, 100000));
+
+  c.add_member(102, 99);
+  c.run_for(vt_ms(100));
+  const ClusterStats& s = c.node(100).stats();
+  EXPECT_EQ(s.handoffs_sent, 1u);
+  EXPECT_EQ(s.handoffs_failed, 1u);
+  EXPECT_EQ(s.handoffs_delivered, 0u);
+  EXPECT_EQ(c.node(102).stats().handoffs_received, 0u);
+
+  // Nothing is resent: the shared log answers for the lost sessions, so
+  // the moved clients' next calls run once at the new owner.
+  for (ServiceClient* cl : cls) cl->call(41, cl->self());
+  c.run_for(vt_ms(100));
+  for (ServiceClient* cl : cls) {
+    ASSERT_EQ(cl->records().size(), 2u);
+    EXPECT_TRUE(cl->records()[1].ok());
+    EXPECT_EQ(cl->records()[1].value, service_reference(cl->self(), 41));
+  }
+  EXPECT_GE(c.node(102).server().stats().ok, 3u);
+  EXPECT_EQ(c.effects.size(), 6u);
+  EXPECT_EQ(c.effects.duplicates(), 0u);
+}
+
+TEST(ClusterSim, PlannedShrinkHandoffReachesSurvivorsThatDroppedTheLeaver) {
+  SimCluster c(3);
+  constexpr NodeId kLeaver = 102;
+  std::vector<ServiceClient*> cls;
+  for (NodeId cand = 200; cls.size() < 3 && cand < 1200; ++cand) {
+    if (c.router->owner_of(cand) != kLeaver) continue;
+    ServiceClient& cl = c.client(cand);
+    cls.push_back(&cl);
+    cl.call(40, cand);
+  }
+  ASSERT_EQ(cls.size(), 3u);
+  c.run_for(vt_ms(50));
+  std::vector<std::uint64_t> requests;
+  for (auto& n : c.nodes) requests.push_back(n->server().stats().requests);
+
+  // The survivors forget the leaver before its handoff is even sent.
+  for (NodeId id : {100, 101}) c.node(id).remove_node(kLeaver);
+  c.node(kLeaver).remove_node(kLeaver);
+  c.router->remove_node(kLeaver);
+  c.run_for(vt_ms(100));
+
+  const ClusterStats& s = c.node(kLeaver).stats();
+  EXPECT_GE(s.handoffs_sent, 1u);
+  EXPECT_EQ(s.handoffs_delivered, s.handoffs_sent);
+  EXPECT_EQ(c.node(100).stats().handoffs_received +
+                c.node(101).stats().handoffs_received,
+            s.handoffs_sent);
+  for (ServiceClient* cl : cls) {
+    const NodeId owner = c.router->owner_of(cl->self());
+    EXPECT_NE(c.node(owner).server().sessions().find(cl->self()), nullptr);
+  }
+  // Heartbeats, handoff fragments and acks flowed, but no client did: a
+  // channel frame never reaches a server as a request.
+  for (std::size_t i = 0; i < c.nodes.size(); ++i)
+    EXPECT_EQ(c.nodes[i]->server().stats().requests, requests[i]);
 }
 
 TEST(ClusterSim, MinorityPartitionFencesThenHealsWithProbation) {

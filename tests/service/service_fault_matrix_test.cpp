@@ -50,7 +50,7 @@ struct MatrixOutcome {
   std::uint64_t local_fallbacks = 0;
   std::size_t leftover_pendings = 0;
   int leaked_pages = 0;
-  std::string digest;
+  std::uint64_t digest = 0;
   std::string log;
 };
 
