@@ -1,29 +1,25 @@
-// COMMIT-THROUGHPUT — the sharded-pagestore scaling sweep.
+// COMMIT-THROUGHPUT — the pagestore's kPool commit path vs worker count.
 //
-// Scheduler workers used to funnel every page allocation, COW break and
-// frame recycle through one global pool mutex and one ledger cacheline, so
-// speculation throughput stopped scaling with cores right where the paper's
-// model says it should take off. This bench measures the whole commit
-// pipeline — fork a child, COW-write a segment, extract its write set,
-// splice it back into the parent — as worker count grows, with each worker
-// bound to its own pagestore shard (PageShard) exactly as SpecScheduler
-// binds its pool threads.
+// This bench runs what the kPool engine does with pages, as worker count
+// grows: each worker repeatedly forks a scoped child of its own parent
+// world (PageTable::fork_scoped — the child borrows the parent's leaf
+// pages), COW-writes `--writes` pages of it, and adopts it back (a root
+// swap plus settle), which frees the parent's replaced pages and leaves.
+// Each worker claims a pagestore slot (PageShard) exactly as
+// SpecScheduler binds its pool threads, so its frames and radix nodes
+// come from its own free lists; workers share nothing but the pool. One
+// op = one child committed.
 //
-// Per round, each of W workers forks the shared parent, COW-writes its own
-// `--writes` pages inside its private segment, and extracts its delta
-// concurrently (extract_segment is a pure read on both maps); the main
-// thread then splices all W deltas serially. One op = one child committed.
-//
-// Two checks guard the refactor (--check):
-//   * no 1-thread regression — a worker bound to a shard must commit within
-//     10% of an *unbound* worker, whose ops all land on shard 0, the locked
-//     global-fallback shard that is structurally the pre-shard pool;
+// Two checks guard the allocator (--check):
+//   * no 1-thread regression — a worker that holds a slot must commit
+//     within 10% of an *unbound* worker, whose every allocation takes the
+//     pool's shared, locked path;
 //   * scaling — with at least 4 hardware threads, aggregate commit
 //     throughput at W >= 4 must be at least 2x the 1-thread figure (skipped
 //     with a note on smaller machines; the sweep itself still runs).
 //
 //   $ commit_throughput [--maxw=N] [--seg_pages=64] [--writes=64]
-//                       [--rounds=50] [--trials=5] [--page_size=1024]
+//                       [--rounds=2000] [--trials=5] [--page_size=1024]
 //                       [--check] [--json=BENCH_commit_throughput.json]
 //                       [--trace=FILE] [--profile]
 #include <atomic>
@@ -77,70 +73,57 @@ class Barrier {
 };
 
 struct Opts {
-  std::size_t seg_pages = 64;   // pages per worker segment
+  std::size_t seg_pages = 64;   // pages per worker's parent
   std::size_t writes = 64;      // COW writes per child per round
-  std::size_t rounds = 50;      // rounds per trial
+  std::size_t rounds = 2000;    // commits per worker per trial
   int trials = 5;
   std::size_t page_size = 1024;
 };
 
 struct ConfigResult {
   std::size_t workers = 0;
-  bool bound = true;            // workers bound to shards (vs all on shard 0)
+  bool bound = true;            // workers hold pagestore slots
   double ns_per_commit = 0;
   double commits_per_sec = 0;
   double pages_per_sec = 0;
 };
 
-// Runs the fork/COW-write/extract/splice pipeline with `W` persistent
-// worker threads against one shared parent table; returns the median-trial
-// throughput. `bind` selects sharded (worker w on shard w) or baseline
-// (every worker unbound, i.e. the pre-shard single global shard) mode.
+// Runs the fork_scoped/COW-write/adopt loop on `W` persistent worker
+// threads, one parent table each; returns the median-trial throughput.
+// `bind` selects workers holding slots or (baseline) unbound workers.
 ConfigResult run_config(std::size_t W, bool bind, const Opts& o) {
-  const std::size_t num_pages = W * o.seg_pages;
-  PageTable parent(o.page_size, num_pages);
-  for (std::size_t p = 0; p < num_pages; ++p) parent.write_page(p)[0] = 1;
-
   Barrier start(W + 1), done(W + 1);
-  std::vector<PageMap::RangeDelta> deltas(W);
-  std::vector<CowStats> kid_stats(W);
   std::atomic<bool> stop{false};
+  std::atomic<std::size_t> rounds{0};
 
   std::vector<std::thread> workers;
   workers.reserve(W);
   for (std::size_t w = 0; w < W; ++w) {
-    workers.emplace_back([&, w] {
-      if (bind) PageShard::bind(w);
-      const std::size_t lo = w * o.seg_pages;
-      const std::size_t hi = lo + o.seg_pages;
+    workers.emplace_back([&] {
+      if (bind) PageShard::bind();
+      PageTable parent(o.page_size, o.seg_pages);
+      for (std::size_t p = 0; p < o.seg_pages; ++p) parent.write_page(p)[0] = 1;
       while (true) {
         start.arrive_and_wait();
         if (stop.load(std::memory_order_acquire)) break;
-        PageTable child = parent.fork();
-        for (std::size_t i = 0; i < o.writes; ++i) {
-          std::uint8_t* d = child.write_page(lo + i % o.seg_pages);
-          d[i % o.page_size] ^= 0x5a;
+        for (std::size_t r = rounds.load(); r > 0; --r) {
+          PageTable child = parent.fork_scoped();
+          for (std::size_t i = 0; i < o.writes; ++i) {
+            std::uint8_t* d = child.write_page(i % o.seg_pages);
+            d[i % o.page_size] ^= 0x5a;
+          }
+          parent.adopt(std::move(child));
         }
-        deltas[w] = parent.extract_segment(child, lo, hi);
-        kid_stats[w] = child.stats();
         done.arrive_and_wait();
-        // child dies here: its path-copied nodes free and any dropped page
-        // frames recycle into this worker's shard while the main thread is
-        // splicing — exactly the concurrency the sharded pool absorbs.
       }
       PageShard::unbind();
     });
   }
 
-  auto run_rounds = [&](std::size_t rounds) {
-    for (std::size_t r = 0; r < rounds; ++r) {
-      start.arrive_and_wait();
-      done.arrive_and_wait();
-      for (std::size_t w = 0; w < W; ++w) {
-        parent.apply_segment(deltas[w], kid_stats[w]);
-        deltas[w] = PageMap::RangeDelta{};  // drop refs before the next fork
-      }
-    }
+  auto run_rounds = [&](std::size_t n) {
+    rounds = n;
+    start.arrive_and_wait();
+    done.arrive_and_wait();
   };
 
   run_rounds(2);  // warm up: populate pools, reach COW steady state
@@ -172,7 +155,7 @@ int main(int argc, char** argv) {
   o.seg_pages = static_cast<std::size_t>(cli.get_int("seg_pages", 64));
   o.writes = static_cast<std::size_t>(
       cli.get_int("writes", static_cast<std::int64_t>(o.seg_pages)));
-  o.rounds = static_cast<std::size_t>(cli.get_int("rounds", 50));
+  o.rounds = static_cast<std::size_t>(cli.get_int("rounds", 2000));
   o.trials = static_cast<int>(cli.get_int("trials", 5));
   o.page_size = static_cast<std::size_t>(cli.get_int("page_size", 1024));
   const std::size_t hw = hw_threads();
@@ -192,20 +175,19 @@ int main(int argc, char** argv) {
   for (std::size_t w = 1; w <= maxw; w *= 2) ws.push_back(w);
   if (ws.empty() || ws.back() != maxw) ws.push_back(maxw);
 
-  std::cout << "Parallel segment-commit throughput vs worker count ("
+  std::cout << "kPool commit throughput vs worker count ("
             << o.page_size << " B pages, " << o.seg_pages
-            << "-page segments, " << o.writes
+            << "-page parents, " << o.writes
             << " COW writes per child; median of " << o.trials
             << " trials x " << o.rounds << " rounds; " << hw
             << " hardware thread(s))\n";
   TablePrinter table(
       {"workers", "mode", "ns_per_commit", "commits_per_s", "pages_per_s"});
 
-  // The pre-shard baseline: one worker left unbound, so its every pool and
-  // ledger op lands on shard 0 — the locked global-fallback shard that
-  // behaves exactly like the old single-mutex pool.
+  // The baseline: one worker left unbound, so its every allocation takes
+  // the pool's shared, locked path.
   const ConfigResult base = run_config(1, /*bind=*/false, o);
-  table.add_row({TablePrinter::num(std::int64_t{1}), "global",
+  table.add_row({TablePrinter::num(std::int64_t{1}), "shared",
                  TablePrinter::num(base.ns_per_commit, 0),
                  TablePrinter::num(base.commits_per_sec, 0),
                  TablePrinter::num(base.pages_per_sec, 0)});
@@ -215,14 +197,14 @@ int main(int argc, char** argv) {
     rows.push_back(run_config(w, /*bind=*/true, o));
     const ConfigResult& r = rows.back();
     table.add_row({TablePrinter::num(static_cast<std::int64_t>(r.workers)),
-                   "sharded", TablePrinter::num(r.ns_per_commit, 0),
+                   "slot", TablePrinter::num(r.ns_per_commit, 0),
                    TablePrinter::num(r.commits_per_sec, 0),
                    TablePrinter::num(r.pages_per_sec, 0)});
   }
   table.print(std::cout);
   std::cout << "(commits_per_s is aggregate across workers: each commit is "
-               "fork + COW-write + concurrent extract + serial splice; the "
-               "global row is the pre-shard pool baseline)\n";
+               "fork_scoped + COW-write + adopt; the shared row is the "
+               "unbound-worker baseline)\n";
 
   const double regression = rows.front().ns_per_commit / base.ns_per_commit;
   bool pass = true;
@@ -231,7 +213,7 @@ int main(int argc, char** argv) {
   if (check) {
     const bool reg_ok = regression <= 1.10;
     if (!reg_ok) pass = false;
-    std::cout << "\ncheck: 1-thread sharded/baseline ns ratio " << regression
+    std::cout << "\ncheck: 1-thread slot/shared ns ratio " << regression
               << " (limit 1.10): " << (reg_ok ? "PASS" : "FAIL") << "\n";
     // Scaling: best aggregate throughput at >= 4 workers vs 1 thread.
     double best = 0.0;
@@ -266,7 +248,7 @@ int main(int argc, char** argv) {
         << ",\n  \"seg_pages\": " << o.seg_pages
         << ",\n  \"writes\": " << o.writes
         << ",\n  \"hardware_threads\": " << hw
-        << ",\n  \"baseline\": {\"workers\": 1, \"mode\": \"global\", "
+        << ",\n  \"baseline\": {\"workers\": 1, \"mode\": \"shared\", "
         << "\"ns_per_commit\": " << base.ns_per_commit
         << ", \"commits_per_sec\": " << base.commits_per_sec << "},\n"
         << "  \"results\": [\n";

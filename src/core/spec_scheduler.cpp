@@ -255,10 +255,12 @@ bool SpecScheduler::execute(const SchedTaskRef& task, bool stolen) {
 void SpecScheduler::worker_loop(std::size_t self) {
   t_worker.sched = this;
   t_worker.index = self;
-  // Bind this worker to its pagestore shard: every page the tasks it runs
-  // allocate, recycle, or destroy accounts against a per-worker free list
-  // and ledger slot instead of one contended global.
-  PageShard::bind(self);
+  // Claim a pagestore slot: the frames and radix nodes the tasks this
+  // worker runs allocate come from its own lock-free free lists, and its
+  // ledger slot, instead of the shared locked path. A worker that finds
+  // every slot held (many runtimes in one process) stays on the shared
+  // path; unbind() hands its lists back.
+  PageShard::bind();
   while (true) {
     SchedTaskRef task = pop_own(self);
     bool stolen = false;

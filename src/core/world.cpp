@@ -57,24 +57,6 @@ void World::commit_from(World&& child) {
   // do not transfer.
 }
 
-std::size_t World::commit_from_segment(World&& child, const Segment& seg) {
-  MW_CHECK(child.table_ == table_);
-  MW_TRACE_EVENT(trace::EventKind::kWorldCommit, pid_, child.pid_);
-  return space_.adopt_segment(std::move(child.space_), seg);
-}
-
-PageTable::AdoptBatchStats World::commit_from_parallel(
-    const std::vector<SegmentCommit>& commits) {
-  std::vector<AddressSpace::SegmentCommit> ops;
-  ops.reserve(commits.size());
-  for (const SegmentCommit& c : commits) {
-    MW_CHECK(c.child != nullptr && c.child->table_ == table_);
-    MW_TRACE_EVENT(trace::EventKind::kWorldCommit, pid_, c.child->pid_);
-    ops.push_back({&c.child->space_, c.segment});
-  }
-  return space_.adopt_parallel(ops);
-}
-
 void World::rollback(const AddressSpace& snapshot) {
   MW_TRACE_EVENT(trace::EventKind::kWorldRollback, pid_);
   space_.adopt(snapshot.fork());

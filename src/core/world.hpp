@@ -58,26 +58,6 @@ class World {
   /// child's world object is consumed.
   void commit_from(World&& child);
 
-  /// Segment-scoped commit: absorbs only the child's writes inside `seg`
-  /// (a segment of this world's space). Unlike commit_from, this *merges*
-  /// rather than replaces, so several children each owning a distinct
-  /// segment can all commit into one parent. Returns pages spliced.
-  std::size_t commit_from_segment(World&& child, const Segment& seg);
-
-  /// One child of a parallel segment commit.
-  struct SegmentCommit {
-    World* child = nullptr;
-    Segment segment;
-  };
-
-  /// Commits a batch of children, each confined to its declared segment of
-  /// this world's space. Disjoint, confined batches extract their write
-  /// sets in parallel (one thread per child) and splice serially; overlap
-  /// or an escaped write falls back to serialized commits in vector order.
-  /// Every child is consumed either way.
-  PageTable::AdoptBatchStats commit_from_parallel(
-      const std::vector<SegmentCommit>& commits);
-
   /// Supervised recovery: rewind this world's sink state to a previously
   /// captured COW snapshot (an O(1) page-map root swap, the inverse of
   /// commit_from). Identity, status, and predicates are untouched — the

@@ -43,31 +43,4 @@ void AddressSpace::adopt(AddressSpace&& child) {
   next_free_ = child.next_free_;
 }
 
-std::pair<std::size_t, std::size_t> AddressSpace::page_range(
-    const Segment& seg) const {
-  const std::uint64_t ps = page_size();
-  MW_CHECK(seg.base % ps == 0 && seg.size % ps == 0);
-  MW_CHECK(seg.base + seg.size <= size_bytes());
-  return {static_cast<std::size_t>(seg.base / ps),
-          static_cast<std::size_t>((seg.base + seg.size) / ps)};
-}
-
-std::size_t AddressSpace::adopt_segment(AddressSpace&& child,
-                                        const Segment& seg) {
-  const auto [lo, hi] = page_range(seg);
-  return table_.adopt_segment(std::move(child.table_), lo, hi);
-}
-
-PageTable::AdoptBatchStats AddressSpace::adopt_parallel(
-    const std::vector<SegmentCommit>& commits) {
-  std::vector<PageTable::SegmentAdoptOp> ops;
-  ops.reserve(commits.size());
-  for (const SegmentCommit& c : commits) {
-    MW_CHECK(c.child != nullptr);
-    const auto [lo, hi] = page_range(c.segment);
-    ops.push_back({&c.child->table_, lo, hi});
-  }
-  return table_.adopt_segments(std::move(ops));
-}
-
 }  // namespace mw

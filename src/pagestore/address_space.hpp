@@ -85,33 +85,6 @@ class AddressSpace {
   /// O(1) in address-space size).
   void adopt(AddressSpace&& child);
 
-  /// Segment-scoped commit: splices only the pages the child wrote inside
-  /// `seg` (a segment of *this* space — byte range converted to page
-  /// range). Writes outside the segment are dropped with serialized
-  /// semantics handled by the caller via adopt_parallel; this single-child
-  /// form splices unconditionally within the range. Returns pages spliced.
-  std::size_t adopt_segment(AddressSpace&& child, const Segment& seg);
-
-  /// One child of a parallel commit batch: the child plus the segment of
-  /// this space it claims to own.
-  struct SegmentCommit {
-    AddressSpace* child = nullptr;
-    Segment segment;
-  };
-
-  /// Commits several children at once, each confined to its declared
-  /// segment. Extraction (the expensive diff walk) runs concurrently when
-  /// segments are disjoint and every child stayed inside its own; any
-  /// overlap or escape falls the whole batch back to serialized adopts in
-  /// vector order (last writer wins). Segment directories of the children
-  /// are ignored — the parent keeps its own naming.
-  PageTable::AdoptBatchStats adopt_parallel(
-      const std::vector<SegmentCommit>& commits);
-
-  /// Converts a byte-addressed segment of this space to its page range
-  /// [first, last) — the unit the segment-commit machinery works in.
-  std::pair<std::size_t, std::size_t> page_range(const Segment& seg) const;
-
   const PageTable& table() const { return table_; }
   PageTable& table() { return table_; }
 

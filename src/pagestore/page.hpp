@@ -7,7 +7,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
+#include <new>
 #include <utility>
 
 #include "pagestore/shard.hpp"
@@ -100,20 +100,19 @@ class Page {
   friend class PagePool;
   friend PageRef make_page(std::size_t size);
 
-  explicit Page(std::size_t size) : size_(static_cast<std::uint32_t>(size)) {}
+  Page(std::size_t size, PagePool* pool)
+      : size_(static_cast<std::uint32_t>(size)), pool_(pool) {}
 
-  /// A block of `size` bytes, zeroed when `zeroed` (calloc) — not yet a
-  /// page. Aborts when the allocator fails.
-  static Page* alloc_block(std::size_t size, bool zeroed);
-  static void free_block(Page* block) { std::free(block); }
+  /// A block for a page of `size` bytes, zeroed when `zeroed` (calloc) —
+  /// not yet a page. Aborts when the allocator fails.
+  static void* alloc_block(std::size_t size, bool zeroed);
 
   /// Turns a block into a live page with one reference, owned by `pool`
   /// (null: freed when the last reference drops).
-  static Page* revive(Page* block, PagePool* pool) {
-    block->refs_.store(1, std::memory_order_relaxed);
-    block->pool_ = pool;
+  static Page* revive(void* block, std::size_t size, PagePool* pool) {
+    Page* p = new (block) Page(size, pool);
     PageLedger::add(1);
-    return block;
+    return p;
   }
 
   void retain() { refs_.fetch_add(1, std::memory_order_relaxed); }
@@ -124,9 +123,9 @@ class Page {
   /// to its pool or free it (page_pool.cpp).
   void die();
 
-  std::atomic<std::uint32_t> refs_{0};
+  std::atomic<std::uint32_t> refs_{1};
   std::uint32_t size_;
-  PagePool* pool_ = nullptr;
+  PagePool* pool_;
   // The page's bytes follow the header.
 };
 
@@ -160,6 +159,9 @@ class PageRef {
     r.p_ = p;
     return r;
   }
+  /// Points this null reference at `o`'s page without taking a count: a
+  /// borrowed slot, like adopt() with no count held.
+  void borrow(const PageRef& o) { p_ = o.p_; }
   /// Gives up the pointer without dropping a count.
   Page* detach() { return std::exchange(p_, nullptr); }
   /// Takes one more count on the page — a borrowed slot becoming counted.
@@ -192,7 +194,8 @@ static_assert(sizeof(PageRef) == 8);
 /// A zero-filled page of `size` bytes owned by no pool: its block is freed
 /// when the last reference drops.
 inline PageRef make_page(std::size_t size) {
-  return PageRef::adopt(Page::revive(Page::alloc_block(size, true), nullptr));
+  return PageRef::adopt(
+      Page::revive(Page::alloc_block(size, true), size, nullptr));
 }
 
 }  // namespace mw

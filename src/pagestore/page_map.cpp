@@ -2,7 +2,9 @@
 
 #include <array>
 #include <bit>
+#include <utility>
 
+#include "pagestore/page_pool.hpp"
 #include "util/check.hpp"
 
 namespace mw {
@@ -10,13 +12,14 @@ namespace mw {
 // A node is either an inner node (Inner: 64 children) or a leaf (Leaf: 64
 // page references plus 64 generation tags); which one is fixed by its level
 // in the tree, and `leaf` records it for the walks that do not track the
-// level. Each kind holds its slots in inline arrays, so make_shared puts
-// control block and slots in one allocation and a path copy costs exactly
-// one allocation per node; a leaf carries no child array and an inner node
-// no page array. Shared nodes are immutable: slot_for_write clones any node
-// whose use_count exceeds 1 before descending through it. settle() is the
-// one exception: it rewrites only ownership bookkeeping, and only in nodes
-// no other map reaches.
+// level. Each kind holds its slots in inline arrays, so allocate_shared
+// puts control block and slots in one block and a path copy costs exactly
+// one block per node, taken from the calling worker's free list in the
+// global PagePool (make_node); a leaf carries no child array and an inner
+// node no page array. Shared nodes are immutable: slot_for_write clones
+// any node whose use_count exceeds 1 before descending through it.
+// settle() is the one exception: it rewrites only ownership bookkeeping,
+// and only in nodes no other map reaches.
 struct PageMap::Node {
   explicit Node(bool is_leaf) : leaf(is_leaf) {}
 
@@ -44,16 +47,15 @@ struct PageMap::Leaf : Node {
   }
 
   // A borrowing copy of the leaf `from` points to: the same pages and
-  // tags, none of them counted, kept alive by holding `from`.
-  Leaf(Borrow, NodeRef from) : Node(true) {
+  // tags, none of them counted, kept alive by holding `from`. The page
+  // pointers are copied as raw pointers and the borrowed mask is built
+  // without a branch per slot.
+  Leaf(Borrow, NodeRef from) : Node(true), tags(as_leaf(*from).tags) {
     const Leaf& o = as_leaf(*from);
     resident = o.resident;
-    tags = o.tags;
     for (std::size_t i = 0; i < kFanout; ++i) {
-      if (Page* p = o.pages[i].get()) {
-        pages[i] = PageRef::adopt(p);
-        borrowed |= std::uint64_t{1} << i;
-      }
+      pages[i].borrow(o.pages[i]);
+      borrowed |= std::uint64_t{o.pages[i] != nullptr} << i;
     }
     if (borrowed != 0) {
       src = std::move(from);
@@ -73,6 +75,34 @@ struct PageMap::Leaf : Node {
   std::uint64_t borrowed = 0;  // slots whose page this leaf does not count
   NodeRef src;                 // the leaf borrowed from; null if none
 };
+
+namespace {
+
+// Node blocks come from the global pool (PagePool::allocate_node).
+template <typename T>
+struct NodeAllocator {
+  using value_type = T;
+  NodeAllocator() = default;
+  template <typename U>
+  NodeAllocator(const NodeAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(PagePool::global().allocate_node(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) {
+    PagePool::global().free_node(p, n * sizeof(T));
+  }
+  friend bool operator==(const NodeAllocator&, const NodeAllocator&) {
+    return true;
+  }
+};
+
+template <typename T, typename... Args>
+std::shared_ptr<T> make_node(Args&&... args) {
+  return std::allocate_shared<T>(NodeAllocator<T>{},
+                                 std::forward<Args>(args)...);
+}
+
+}  // namespace
 
 PageMap::Inner& PageMap::as_inner(Node& n) { return static_cast<Inner&>(n); }
 PageMap::Leaf& PageMap::as_leaf(Node& n) { return static_cast<Leaf&>(n); }
@@ -172,19 +202,19 @@ PageMap::Slot PageMap::slot_for_write_slow(std::size_t i) {
     const bool at_leaf = (level + 1 == depth_);
     if (!*link) {
       if (at_leaf) {
-        *link = std::make_shared<Leaf>();
+        *link = make_node<Leaf>();
       } else {
-        *link = std::make_shared<Inner>();
+        *link = make_node<Inner>();
       }
     } else if (link->use_count() > 1) {
       // Path copy: this node is shared with a forked sibling/ancestor map.
       // Cloning copies kFanout child/page references but no page data, in
       // one allocation; a borrowing map's leaf copy counts no page.
       if (at_leaf) {
-        *link = borrow ? std::make_shared<Leaf>(Leaf::Borrow{}, *link)
-                       : std::make_shared<Leaf>(as_leaf(**link));
+        *link = borrow ? make_node<Leaf>(Leaf::Borrow{}, *link)
+                       : make_node<Leaf>(as_leaf(**link));
       } else {
-        *link = std::make_shared<Inner>(as_inner(**link));
+        *link = make_node<Inner>(as_inner(**link));
       }
     }
     const std::size_t idx = child_index(i, level);
@@ -334,99 +364,6 @@ std::size_t PageMap::count_tags_rec(const Node* n, std::uint64_t epoch) {
 
 std::size_t PageMap::count_written_since(std::uint64_t epoch) const {
   return count_tags_rec(root_.get(), epoch);
-}
-
-// Counts slots where the child references a different, non-null page —
-// i.e. genuine child writes — under this subtree. Identical subtrees are
-// pruned wholesale, like diff_rec.
-std::size_t PageMap::count_child_diff_rec(const Node* base, const Node* child,
-                                          std::size_t sub_base,
-                                          int level) const {
-  if (base == child) return 0;
-  if (!child || child->resident == 0) return 0;  // child has no pages here
-  if (level + 1 == depth_) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kFanout; ++i) {
-      if (sub_base + i >= num_pages_) break;
-      const Page* pc = page_at(child, i);
-      if (pc != nullptr && pc != page_at(base, i)) ++n;
-    }
-    return n;
-  }
-  std::size_t n = 0;
-  const std::size_t span = std::size_t{1}
-                           << (static_cast<std::size_t>(depth_ - 1 - level) *
-                               kFanoutBits);
-  for (std::size_t i = 0; i < kFanout; ++i)
-    n += count_child_diff_rec(kid(base, i), kid(child, i),
-                              sub_base + i * span, level + 1);
-  return n;
-}
-
-void PageMap::extract_rec(const Node* base, const Node* child,
-                          std::size_t sub_base, int level, std::size_t lo,
-                          std::size_t hi, RangeDelta& out) const {
-  if (base == child) return;  // identical subtree (or both absent): no writes
-  if (!child || child->resident == 0) return;
-  const std::size_t span =
-      level + 1 == depth_
-          ? kFanout
-          : std::size_t{1} << (static_cast<std::size_t>(depth_ - level) *
-                               kFanoutBits);
-  if (sub_base >= hi || sub_base + span <= lo) {
-    // Entirely outside the declared range: count escaped writes only.
-    out.out_of_range += count_child_diff_rec(base, child, sub_base, level);
-    return;
-  }
-  if (level + 1 == depth_) {
-    for (std::size_t i = 0; i < kFanout; ++i) {
-      const std::size_t idx = sub_base + i;
-      if (idx >= num_pages_) break;
-      const Page* pc = page_at(child, i);
-      if (pc == nullptr || pc == page_at(base, i)) continue;
-      if (idx < lo || idx >= hi) {
-        ++out.out_of_range;
-        continue;
-      }
-      out.index.push_back(idx);
-      out.page.push_back(as_leaf(*child).pages[i]);
-      out.tag.push_back(as_leaf(*child).tags[i]);
-    }
-    return;
-  }
-  const std::size_t child_span = span >> kFanoutBits;
-  for (std::size_t i = 0; i < kFanout; ++i)
-    extract_rec(kid(base, i), kid(child, i), sub_base + i * child_span,
-                level + 1, lo, hi, out);
-}
-
-PageMap::RangeDelta PageMap::extract_delta(const PageMap& child,
-                                           std::size_t lo,
-                                           std::size_t hi) const {
-  MW_CHECK(child.num_pages_ == num_pages_);
-  MW_CHECK(lo <= hi && hi <= num_pages_);
-  RangeDelta out;
-  out.lo = lo;
-  out.hi = hi;
-  extract_rec(root_.get(), child.root_.get(), 0, 0, lo, hi, out);
-  return out;
-}
-
-std::size_t PageMap::apply_delta(const RangeDelta& d) {
-  std::size_t became_resident = 0;
-  for (std::size_t k = 0; k < d.index.size(); ++k) {
-    const std::size_t idx = d.index[k];
-    MW_CHECK(idx < num_pages_);
-    Slot slot = slot_for_write(idx);
-    const bool was_resident = (*slot.page != nullptr);
-    slot.install(d.page[k]);
-    *slot.tag = d.tag[k];
-    if (!was_resident) {
-      note_resident(idx);
-      ++became_resident;
-    }
-  }
-  return became_resident;
 }
 
 }  // namespace mw

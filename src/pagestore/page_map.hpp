@@ -128,37 +128,6 @@ class PageMap {
   /// Resident pages whose generation tag exceeds `epoch`.
   std::size_t count_written_since(std::uint64_t epoch) const;
 
-  /// A child's write set against this map, confined to a page range: the
-  /// extraction half of a segment commit (parallel commits run one
-  /// extraction per child concurrently, then splice serially).
-  struct RangeDelta {
-    std::size_t lo = 0, hi = 0;      // [lo, hi): the range extracted
-    std::vector<std::size_t> index;  // ascending page indices to install
-    std::vector<PageRef> page;       // parallel array: the child's pages
-    std::vector<std::uint64_t> tag;  // parallel array: generation tags
-    /// Child pages that differ from the base *outside* [lo, hi) — writes
-    /// that escaped the child's declared segment. Non-zero means the
-    /// delta must not be spliced next to siblings without serializing.
-    std::size_t out_of_range = 0;
-    bool confined() const { return out_of_range == 0; }
-  };
-
-  /// Extracts the slots where `child` holds a different (non-null) page
-  /// than this map, collecting those inside [lo, hi) and counting those
-  /// outside. Pure read on both trees — safe to run concurrently with
-  /// other extract_delta calls on the same base map, which is exactly how
-  /// disjoint segment commits parallelize. Slots where the child has no
-  /// page but the base does are ignored: a fork can never *remove* a
-  /// page, so such a diff means the base advanced after the fork and the
-  /// base's page must survive.
-  RangeDelta extract_delta(const PageMap& child, std::size_t lo,
-                           std::size_t hi) const;
-
-  /// Splices a delta into this map (path-copying shared nodes). Serial:
-  /// requires the same exclusive access as any other write. Returns the
-  /// number of slots that went empty -> resident.
-  std::size_t apply_delta(const RangeDelta& d);
-
  private:
   struct Node;   // what a NodeRef points to: the kind flag and count
   struct Inner;  // a Node with kFanout children
@@ -176,11 +145,6 @@ class PageMap {
 
   std::size_t child_index(std::size_t i, int level) const;
   Slot slot_for_write_slow(std::size_t i);
-  void extract_rec(const Node* base, const Node* child, std::size_t sub_base,
-                   int level, std::size_t lo, std::size_t hi,
-                   RangeDelta& out) const;
-  std::size_t count_child_diff_rec(const Node* base, const Node* child,
-                                   std::size_t sub_base, int level) const;
   static std::size_t shared_rec(const Node* a, const Node* b);
   void diff_rec(const Node* a, const Node* b, std::size_t base, int level,
                 std::vector<std::size_t>& out) const;

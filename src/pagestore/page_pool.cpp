@@ -1,215 +1,375 @@
 #include "pagestore/page_pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+#include <utility>
+#include <vector>
 
-#include "pagestore/shard.hpp"
 #include "trace/spec_profile.hpp"
 #include "util/check.hpp"
-#include "util/threading.hpp"
 
 namespace mw {
 
 namespace {
 
-// Frames pulled in one steal refill: one to satisfy the miss, the rest
-// deposited in the home shard so a busy worker stops missing after the
-// first steal instead of paying a sibling lock per allocation.
-constexpr std::size_t kRefillBatch = 8;
+// A free block's first word links it into a list.
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+constexpr std::uint32_t kNodeKey = std::uint32_t{1} << 31;
+
+using Counter = std::atomic<std::uint64_t>;
+
+// A worker's counters have one writer, the slot's owner: a plain load and
+// store, no read-modify-write. The shared heap's are written by any thread
+// that holds no slot.
+void bump(Counter& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+void add(Counter& c) { c.fetch_add(1, std::memory_order_relaxed); }
+
+std::size_t free_chain(FreeBlock* b) {
+  std::size_t n = 0;
+  while (b != nullptr) {
+    FreeBlock* next = b->next;
+    std::free(b);
+    b = next;
+    ++n;
+  }
+  return n;
+}
+
+void* alloc_raw(std::size_t bytes, bool zeroed) {
+  void* raw = zeroed ? std::calloc(1, bytes) : std::malloc(bytes);
+  MW_CHECK(raw != nullptr);
+  return raw;
+}
+
+// Pools that PageShard::unbind() hands a slot's lists to.
+struct Registry {
+  std::mutex mu;
+  std::vector<PagePool*> pools;
+};
+
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+struct Counters {
+  Counter hits{0}, misses{0}, recycled{0}, dropped{0}, refills{0}, spills{0};
+};
+
+// Where a thread that frees a block it does not keep starts looking for a
+// worker to give it to (see give_away).
+thread_local std::size_t t_cursor = 0;
 
 }  // namespace
 
-PagePool::PagePool(std::size_t worker_shards) {
-  if (worker_shards == 0) worker_shards = hw_threads();
-  shards_.reserve(worker_shards + 1);
-  for (std::size_t s = 0; s < worker_shards + 1; ++s)
-    shards_.push_back(std::make_unique<Shard>());
+// One size class of one heap: the owner's list, and the stack other threads
+// push blocks onto for the owner, on its own cacheline. The owner of a
+// worker's heap is the slot's holder; of the shared heap, whoever holds
+// the shared mutex.
+//
+// Counts: a pusher counts a block on `stack_n` before it pushes it, and the
+// owner moves the count over when it takes the stack. So `n` may count a
+// block whose push has not landed yet — it arrives with the next take — but
+// never one that is not coming, and n + stack_n summed over every bin is
+// exact whenever no push is in flight.
+struct alignas(64) PagePool::Bin : Counters {
+  FreeBlock* head = nullptr;
+  std::atomic<std::int64_t> n{0};
+
+  alignas(64) std::atomic<FreeBlock*> stack{nullptr};
+  std::atomic<std::int64_t> stack_n{0};
+
+  std::int64_t held() const {
+    return n.load(std::memory_order_relaxed) +
+           stack_n.load(std::memory_order_relaxed);
+  }
+
+  /// Owner side.
+  FreeBlock* pop() {
+    FreeBlock* b = head;
+    if (b == nullptr) return nullptr;
+    head = b->next;
+    // The next pop reads that block's link: fetch its line meanwhile, as
+    // it was last written on whichever core freed it.
+    if (head != nullptr) __builtin_prefetch(head, 1);
+    n.store(n.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
+    return b;
+  }
+  void push(FreeBlock* b) {
+    b->next = head;
+    head = b;
+    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  /// Owner side, on an empty list: the stack becomes the list, in one
+  /// exchange. False when the stack was empty.
+  bool take_stack() {
+    FreeBlock* chain = stack.exchange(nullptr, std::memory_order_acquire);
+    if (chain == nullptr) return false;
+    head = chain;
+    n.store(n.load(std::memory_order_relaxed) +
+                stack_n.exchange(0, std::memory_order_relaxed),
+            std::memory_order_relaxed);
+    return true;
+  }
+  /// Any thread: pushes `b` for the owner unless `cap` blocks wait already.
+  bool offer(FreeBlock* b, std::int64_t cap) {
+    if (stack_n.load(std::memory_order_relaxed) >= cap) return false;
+    stack_n.fetch_add(1, std::memory_order_relaxed);
+    FreeBlock* top = stack.load(std::memory_order_relaxed);
+    do {
+      b->next = top;
+    } while (!stack.compare_exchange_weak(
+        top, b, std::memory_order_release, std::memory_order_relaxed));
+    return true;
+  }
+  /// Frees the stack; returns how many blocks that was. Any thread.
+  std::size_t free_stack() {
+    const std::size_t k =
+        free_chain(stack.exchange(nullptr, std::memory_order_acquire));
+    stack_n.fetch_sub(static_cast<std::int64_t>(k), std::memory_order_relaxed);
+    return k;
+  }
+  /// Owner side: frees the list and the stack; returns how many blocks.
+  std::size_t release() {
+    n.store(0, std::memory_order_relaxed);
+    return free_chain(std::exchange(head, nullptr)) + free_stack();
+  }
+};
+
+struct PagePool::Heap {
+  Bin bins[kClasses];
+};
+
+PagePool::PagePool() : heaps_(new Heap[shard_count()]) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.pools.push_back(this);
 }
 
-PagePool::~PagePool() { clear(); }
+PagePool::~PagePool() {
+  {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    std::erase(r.pools, this);
+  }
+  for (std::size_t h = 0; h < shard_count(); ++h)
+    for (Bin& b : heaps_[h].bins) b.release();
+}
 
 PagePool& PagePool::global() {
   static PagePool pool;
   return pool;
 }
 
-Page* Page::alloc_block(std::size_t size, bool zeroed) {
+void PageShard::unbind() {
+  const std::size_t s = bound_;
+  if (s == kUnbound) return;
+  {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    for (PagePool* p : r.pools) p->hand_back(s);
+  }
+  bound_ = kUnbound;
+  claimed_.fetch_and(~(std::uint32_t{1} << s), std::memory_order_release);
+}
+
+void* Page::alloc_block(std::size_t size, bool zeroed) {
   MW_CHECK(size <= UINT32_MAX);
-  void* raw = zeroed ? std::calloc(1, sizeof(Page) + size)
-                     : std::malloc(sizeof(Page) + size);
-  MW_CHECK(raw != nullptr);
-  return new (raw) Page(size);
+  return alloc_raw(sizeof(Page) + size, zeroed);
 }
 
 void Page::die() {
   PageLedger::add(-1);  // before the block is cached or freed
-  if (pool_ != nullptr) {
-    pool_->recycle(this);
-  } else {
-    free_block(this);
+  if (pool_ == nullptr) {
+    std::free(this);
+    return;
   }
+  pool_->give_back(this, static_cast<std::uint32_t>(sizeof(Page) + size_));
 }
 
-std::size_t PagePool::home_shard() const {
-  const std::size_t id = PageShard::current();
-  if (id == PageShard::kUnbound || shards_.size() == 1) return 0;
-  return 1 + id % (shards_.size() - 1);
+std::size_t PagePool::class_of(std::uint32_t key, bool claim) {
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    std::uint32_t k = class_key_[c].load(std::memory_order_relaxed);
+    if (k == 0 && claim)
+      class_key_[c].compare_exchange_strong(k, key, std::memory_order_relaxed);
+    if (k == key || (k == 0 && claim)) return c;  // found it, or claimed it
+    if (k == 0) break;
+  }
+  return kClasses;
 }
 
-PageRef PagePool::take(std::size_t size, bool zeroed, bool* was_hit) {
-  const std::size_t home = home_shard();
-  Page* block = nullptr;
-  {
-    Shard& h = *shards_[home];
-    std::lock_guard<std::mutex> lock(h.mu);
-    auto it = h.free.find(size);
-    if (it != h.free.end() && !it->second.empty()) {
-      block = it->second.back();
-      it->second.pop_back();
-      --h.frames;
-      h.bytes -= size;
-      ++h.stats.hits;
-    }
-  }
-
-  // Steal refill: take a small batch from the first sibling that has the
-  // class, keep one frame, park the rest at home. At most one shard lock
-  // is held at a time (home was released above), so shards never deadlock.
-  if (block == nullptr) {
-    std::vector<Page*> batch;
-    for (std::size_t v = 0; v < shards_.size() && batch.empty(); ++v) {
-      if (v == home) continue;
-      Shard& victim = *shards_[v];
-      std::lock_guard<std::mutex> lock(victim.mu);
-      auto it = victim.free.find(size);
-      if (it == victim.free.end() || it->second.empty()) continue;
-      const std::size_t n = std::min(kRefillBatch, it->second.size());
-      batch.assign(it->second.end() - static_cast<std::ptrdiff_t>(n),
-                   it->second.end());
-      it->second.resize(it->second.size() - n);
-      victim.frames -= n;
-      victim.bytes -= n * size;
-    }
-    Shard& h = *shards_[home];
-    std::lock_guard<std::mutex> lock(h.mu);
-    if (batch.empty()) {
-      ++h.stats.misses;
-    } else {
-      block = batch.back();
-      batch.pop_back();
-      ++h.stats.hits;
-      h.stats.steal_refills += batch.size() + 1;
-      if (!batch.empty()) {
-        auto& cls = h.free[size];
-        h.frames += batch.size();
-        h.bytes += batch.size() * size;
-        cls.insert(cls.end(), batch.begin(), batch.end());
+void* PagePool::take(std::uint32_t key, std::size_t bytes, bool zeroed,
+                     bool* hit) {
+  const std::size_t c = class_of(key, true);
+  FreeBlock* b = nullptr;
+  if (c < kClasses) {
+    Bin& shared = heaps_[0].bins[c];
+    const std::size_t slot = PageShard::current();
+    if (slot != PageShard::kUnbound) {
+      Bin& own = heaps_[1 + slot].bins[c];
+      if (own.head == nullptr) {
+        if (!own.take_stack()) {
+          // Both empty: whatever the shared heap holds, under its mutex.
+          std::lock_guard<std::mutex> lock(shared_mu_);
+          if (shared.head != nullptr || shared.take_stack()) {
+            own.head = std::exchange(shared.head, nullptr);
+            own.n.store(own.n.load(std::memory_order_relaxed) +
+                            shared.n.exchange(0, std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+          }
+        }
+        if (own.head != nullptr) bump(own.refills);
       }
+      b = own.pop();
+      bump(b != nullptr ? own.hits : own.misses);
+    } else {
+      std::lock_guard<std::mutex> lock(shared_mu_);
+      if (shared.head == nullptr) shared.take_stack();
+      b = shared.pop();
+      add(b != nullptr ? shared.hits : shared.misses);
     }
   }
+  *hit = b != nullptr;
+  return b != nullptr ? b : alloc_raw(bytes, zeroed);
+}
 
-  if (was_hit) *was_hit = block != nullptr;
-  if (block == nullptr) {
-    block = Page::alloc_block(size, zeroed);  // a fresh calloc is zero
-  } else if (zeroed) {
-    std::memset(block->mutable_data(), 0, size);
+bool PagePool::give_away(std::size_t c, void* block, std::size_t self) {
+  auto* b = static_cast<FreeBlock*>(block);
+  const auto cap = static_cast<std::int64_t>(capacity_per_class());
+  // Round robin over the other held slots, so every worker gets its share
+  // of what a race's parent frees at commit; then the shared heap.
+  std::uint32_t others = PageShard::claimed();
+  if (self != PageShard::kUnbound) others &= ~(std::uint32_t{1} << self);
+  for (int tries = std::popcount(others); tries > 0; --tries) {
+    const std::size_t from = t_cursor % PageShard::kSlots;
+    const std::uint32_t ahead =
+        std::rotr(others, static_cast<int>(from));  // bit i: slot from + i
+    const std::size_t s =
+        (from + static_cast<std::size_t>(std::countr_zero(ahead))) %
+        PageShard::kSlots;
+    t_cursor = s + 1;
+    if (heaps_[1 + s].bins[c].offer(b, owner_cap())) return true;
   }
-  return PageRef::adopt(Page::revive(block, this));
+  return heaps_[0].bins[c].offer(b, cap);
+}
+
+void PagePool::give_back(void* block, std::uint32_t key) {
+  const std::size_t c = class_of(key, false);
+  if (c == kClasses) {
+    std::free(block);
+    return;
+  }
+  const std::size_t slot = PageShard::current();
+  if (slot == PageShard::kUnbound) {
+    Bin& shared = heaps_[0].bins[c];
+    if (give_away(c, block, slot)) {
+      add(shared.recycled);
+      add(shared.spills);
+    } else {
+      std::free(block);
+      add(shared.dropped);
+    }
+    return;
+  }
+  Bin& own = heaps_[1 + slot].bins[c];
+  if (own.n.load(std::memory_order_relaxed) < owner_cap()) {
+    own.push(static_cast<FreeBlock*>(block));
+    bump(own.recycled);
+  } else if (give_away(c, block, slot)) {
+    bump(own.recycled);
+    bump(own.spills);
+  } else {
+    std::free(block);
+    bump(own.dropped);
+  }
+}
+
+void PagePool::hand_back(std::size_t slot) {
+  std::lock_guard<std::mutex> lock(shared_mu_);
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    Bin& own = heaps_[1 + slot].bins[c];
+    do {
+      while (FreeBlock* b = own.pop()) heaps_[0].bins[c].push(b);
+    } while (own.take_stack());
+  }
+}
+
+PageRef PagePool::take_page(std::size_t size, bool zeroed, bool* was_hit) {
+  MW_CHECK(size <= INT32_MAX - sizeof(Page));
+  const std::size_t bytes = sizeof(Page) + size;
+  bool hit = false;
+  void* block = take(static_cast<std::uint32_t>(bytes), bytes, zeroed, &hit);
+  if (was_hit) *was_hit = hit;
+  if (hit && zeroed)  // a fresh calloc is zero already
+    std::memset(static_cast<std::uint8_t*>(block) + sizeof(Page), 0, size);
+  return PageRef::adopt(Page::revive(block, size, this));
 }
 
 PageRef PagePool::acquire_uninit(std::size_t size, bool* was_hit) {
-  return take(size, false, was_hit);
+  return take_page(size, false, was_hit);
 }
 
 PageRef PagePool::acquire_zeroed(std::size_t size, bool* was_hit) {
-  return take(size, true, was_hit);
+  return take_page(size, true, was_hit);
 }
 
 PageRef PagePool::acquire_copy(const Page& src, bool* was_hit) {
-  PageRef page = take(src.size(), false, was_hit);
+  PageRef page = take_page(src.size(), false, was_hit);
   std::memcpy(page->mutable_data(), src.data(), src.size());
   return page;
 }
 
-void PagePool::recycle(Page* block) {
-  const std::size_t size = block->size();
-  const std::size_t cap = cap_per_class_.load(std::memory_order_relaxed);
-  const std::size_t home = home_shard();
-  {
-    Shard& h = *shards_[home];
-    std::lock_guard<std::mutex> lock(h.mu);
-    auto& cls = h.free[size];
-    if (cls.size() < cap) {
-      cls.push_back(block);
-      ++h.frames;
-      h.bytes += size;
-      ++h.stats.recycled;
-      return;
-    }
-  }
-  // Overflow: the home class is full — park the frame in the first sibling
-  // with room so a shard running hot does not bleed warm frames back to
-  // the system allocator while its neighbours sit under capacity.
-  for (std::size_t v = 0; v < shards_.size(); ++v) {
-    if (v == home) continue;
-    Shard& s = *shards_[v];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& cls = s.free[size];
-    if (cls.size() >= cap) continue;
-    cls.push_back(block);
-    ++s.frames;
-    s.bytes += size;
-    ++s.stats.recycled;
-    ++s.stats.overflows;
-    return;
-  }
-  Page::free_block(block);
-  Shard& h = *shards_[home];
-  std::lock_guard<std::mutex> lock(h.mu);
-  ++h.stats.dropped;
+void* PagePool::allocate_node(std::size_t bytes) {
+  MW_CHECK(bytes < kNodeKey);
+  bool hit = false;
+  return take(kNodeKey | static_cast<std::uint32_t>(bytes), bytes, false,
+              &hit);
+}
+
+void PagePool::free_node(void* p, std::size_t bytes) {
+  give_back(p, kNodeKey | static_cast<std::uint32_t>(bytes));
 }
 
 std::size_t PagePool::frames_held() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    n += s->frames;
-  }
+  for (std::size_t h = 0; h < shard_count(); ++h) n += shard_frames_held(h);
   return n;
 }
 
 std::size_t PagePool::bytes_held() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    n += s->bytes;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const std::uint32_t key = class_key_[c].load(std::memory_order_relaxed);
+    if (key == 0 || (key & kNodeKey) != 0) continue;
+    std::int64_t blocks = 0;
+    for (std::size_t h = 0; h < shard_count(); ++h)
+      blocks += heaps_[h].bins[c].held();
+    n += static_cast<std::size_t>(std::max<std::int64_t>(0, blocks)) *
+         (key - sizeof(Page));
   }
   return n;
 }
 
 std::size_t PagePool::shard_frames_held(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.frames;
+  MW_CHECK(shard < shard_count());
+  std::int64_t n = 0;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const std::uint32_t key = class_key_[c].load(std::memory_order_relaxed);
+    if (key != 0 && (key & kNodeKey) == 0) n += heaps_[shard].bins[c].held();
+  }
+  return static_cast<std::size_t>(std::max<std::int64_t>(0, n));
 }
 
 void PagePool::set_capacity_per_class(std::size_t n) {
   cap_per_class_.store(n, std::memory_order_relaxed);
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (auto& [size, frames] : s.free) {
-      while (frames.size() > n) {
-        Page::free_block(frames.back());
-        frames.pop_back();
-        --s.frames;
-        s.bytes -= size;
-      }
-    }
-  }
 }
 
 std::size_t PagePool::capacity_per_class() const {
@@ -217,58 +377,67 @@ std::size_t PagePool::capacity_per_class() const {
 }
 
 std::size_t PagePool::clear() {
-  std::size_t n = 0;
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    std::lock_guard<std::mutex> lock(s.mu);
-    n += s.frames;
-    for (auto& [size, frames] : s.free)
-      for (Page* block : frames) Page::free_block(block);
-    s.free.clear();
-    s.frames = 0;
-    s.bytes = 0;
+  std::lock_guard<std::mutex> lock(shared_mu_);
+  const std::uint32_t held = PageShard::claimed();
+  std::size_t frames = 0;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    std::size_t n = heaps_[0].bins[c].release();
+    for (std::size_t s = 0; s < PageShard::kSlots; ++s)
+      if ((held >> s & 1) == 0) n += heaps_[1 + s].bins[c].free_stack();
+    if ((class_key_[c].load(std::memory_order_relaxed) & kNodeKey) == 0)
+      frames += n;
   }
-  return n;
+  return frames;
+}
+
+PagePool::PoolStats PagePool::sum(std::size_t shard, bool nodes) const {
+  PoolStats s;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const std::uint32_t key = class_key_[c].load(std::memory_order_relaxed);
+    if (key == 0 || ((key & kNodeKey) != 0) != nodes) continue;
+    const Bin& b = heaps_[shard].bins[c];
+    s.hits += b.hits.load(std::memory_order_relaxed);
+    s.misses += b.misses.load(std::memory_order_relaxed);
+    s.recycled += b.recycled.load(std::memory_order_relaxed);
+    s.dropped += b.dropped.load(std::memory_order_relaxed);
+    s.refills += b.refills.load(std::memory_order_relaxed);
+    s.spills += b.spills.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 PagePool::PoolStats PagePool::stats() const {
   PoolStats merged;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    merged.merge(s->stats);
-  }
+  for (std::size_t h = 0; h < shard_count(); ++h) merged.merge(sum(h, false));
+  return merged;
+}
+
+PagePool::PoolStats PagePool::node_stats() const {
+  PoolStats merged;
+  for (std::size_t h = 0; h < shard_count(); ++h) merged.merge(sum(h, true));
   return merged;
 }
 
 PagePool::PoolStats PagePool::shard_stats(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.stats;
-}
-
-void PagePool::reset_stats() {
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->stats = PoolStats{};
-  }
+  MW_CHECK(shard < shard_count());
+  return sum(shard, false);
 }
 
 void PagePool::fold_into(trace::SpecProfile& profile) const {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& s = *shards_[i];
+  for (std::size_t h = 0; h < shard_count(); ++h) {
+    const PoolStats s = sum(h, false);
     trace::PoolShardCounters c;
-    c.shard = i;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      c.hits = s.stats.hits;
-      c.misses = s.stats.misses;
-      c.recycled = s.stats.recycled;
-      c.dropped = s.stats.dropped;
-      c.steal_refills = s.stats.steal_refills;
-      c.overflows = s.stats.overflows;
-      c.frames_held = s.frames;
-    }
-    profile.pool_shards.push_back(c);
+    c.shard = h;
+    c.hits = s.hits;
+    c.misses = s.misses;
+    c.recycled = s.recycled;
+    c.dropped = s.dropped;
+    c.refills = s.refills;
+    c.spills = s.spills;
+    c.frames_held = shard_frames_held(h);
+    if (h == 0 || s.hits + s.misses + s.recycled + s.dropped > 0 ||
+        c.frames_held > 0)
+      profile.pool_shards.push_back(c);
   }
 }
 

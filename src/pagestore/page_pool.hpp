@@ -1,56 +1,57 @@
-// PagePool: a sharded page-frame recycling allocator.
+// PagePool: per-worker free lists for every pagestore block.
 //
-// Worlds churn pages at a ferocious rate: every COW break allocates a frame
-// and every eliminated world drops its private frames. Without recycling,
-// each break pays the system allocator (plus a zero-fill for demand pages),
-// and each elimination gives the frames straight back — a malloc/free storm
-// proportional to speculation activity. The pool intercepts the free side:
-// when the last reference to a pooled Page dies, its block (header and
-// bytes, one allocation: the *frame*) goes onto a per-size free list
-// instead of back to the allocator, and the next allocation of that size
-// reuses the warm frame.
+// Worlds churn blocks at a ferocious rate: every COW break takes a page
+// frame, every path copy a radix-tree node, and every eliminated world or
+// commit drops both. The pool keeps the block of each dying page or node
+// and hands it to the next allocation of that size, turning the
+// malloc/free storm into list push/pop. Nodes are pooled because they
+// escape glibc's per-thread cache: a leaf or inner node is just over 1 KiB
+// with its control block (1,080 and 1,056 bytes), above the 1,032-byte
+// tcache limit, so each system allocation of one takes an arena lock, and
+// one freed on another thread is a cross-arena free.
 //
-// At one worker the free lists are cheap; at 16–64 scheduler workers a
-// single pool mutex is exactly the shared-heap contention the or-parallel
-// literature warns about, so the lists are *sharded*. Scheduler workers
-// bind a thread-local shard id (PageShard), and each shard has its own
-// mutex, free lists and counters; unbound threads use shard 0, the locked
-// *global* shard, which behaves like the pre-shard pool. Shards cooperate
-// rather than fragment the cache:
+// The lists follow mimalloc's free-list sharding (Leijen, Zorn and de
+// Moura, MSR-TR-2019-18). Each PageShard slot has a heap in every pool: a
+// fixed array of size classes (the page sizes in use plus the two node
+// sizes), each with an *owner list* that only the thread holding the
+// slot pushes and pops — no lock, no atomic read-modify-write — and an
+// *atomic stack* that other threads push onto. A worker whose list misses
+// takes its whole stack with one exchange. A thread that holds no slot
+// (the parent of a race, whose commit drops the old pages and leaves)
+// pushes each block it frees onto a worker's stack, round robin over the
+// held slots, so every worker gets its share; a worker whose own list is
+// full does the same with what does not fit.
 //
-//   * steal refill — a shard whose free list misses pulls a small batch of
-//     frames from the first sibling that has them before falling through
-//     to the system allocator (work-stealing, allocation side);
-//   * overflow    — a recycle that finds its home shard's class full parks
-//     the frame in a sibling with room before dropping it (work-stealing,
-//     free side).
+// Heap 0 is the shared heap, for threads that hold no slot: its list is
+// guarded by the shared mutex, and its stack takes what no worker has
+// room for. A worker whose list and stack are both empty takes the shared
+// list before it mallocs. A worker that unbinds moves its lists there.
 //
-// Per-shard stats merge on read: stats() sums the shards, shard_stats(s)
-// exposes one shard for balance diagnostics.
+// Balance: a worker keeps at most a quarter of capacity_per_class()
+// blocks on its list and as many on its stack, the shared heap's stack
+// at most capacity_per_class(); a block that fits nowhere is freed to the
+// system allocator (`dropped`). DESIGN.md "Sharded pagestore" records why
+// blocks are not returned to the worker that allocated them.
 //
 // The Page live-instance ledger stays exact: a page leaves the ledger when
-// its last reference drops, before its block reaches a free list, and a
-// block re-enters it only when an acquire hands it out again — so the
-// runtime auditor's leak arithmetic needs no pool-awareness to stay
-// correct. frames_held() is exposed purely as a diagnostic. A pool frees
-// the blocks it still holds when it is destroyed.
-//
-// Thread safety: each shard takes its own internal mutex and at most one
-// shard lock is ever held at a time; a page's last drop may run on
-// whatever thread lets go, and recycles into the pool instance that
-// allocated the block (recorded in the page header, never blindly the
-// global pool).
+// its last reference drops, before its block reaches a list, and a block
+// re-enters it only when an acquire hands it out again — so the runtime
+// auditor's leak arithmetic needs no pool-awareness. Node blocks are not
+// Pages and never enter the ledger. Each frame's owning pool is in its
+// header, so a frame returns to the pool that made it; nodes always come
+// from the global pool. frames_held() is a diagnostic. A pool frees every
+// block it still holds when it is destroyed.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "pagestore/page.hpp"
+#include "pagestore/shard.hpp"
 
 namespace mw::trace {
 struct SpecProfile;
@@ -60,15 +61,16 @@ namespace mw {
 
 class PagePool {
  public:
-  /// A pool with `worker_shards` per-worker shards plus the locked global
-  /// shard that unbound threads use. 0 = one worker shard per hardware
-  /// thread (minimum 2 when the hardware count is unknown).
-  explicit PagePool(std::size_t worker_shards = 0);
+  /// Size classes per heap. A block size that finds every class taken is
+  /// not pooled: it is allocated and freed through the system allocator.
+  static constexpr std::size_t kClasses = 16;
+
+  PagePool();
   ~PagePool();
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  /// The process-wide pool used by every PageTable.
+  /// The process-wide pool used by every PageTable and PageMap.
   static PagePool& global();
 
   /// A page of `size` bytes with unspecified contents: a recycled frame
@@ -84,81 +86,103 @@ class PagePool {
   /// A page holding a copy of `src`'s bytes (the COW-break path).
   PageRef acquire_copy(const Page& src, bool* was_hit);
 
-  /// Shards in this pool, including the global fallback shard (index 0).
-  std::size_t shard_count() const { return shards_.size(); }
+  /// A block of `bytes` for a radix-tree node, and its return (PageMap's
+  /// allocator). free_node may run on any thread.
+  void* allocate_node(std::size_t bytes);
+  void free_node(void* p, std::size_t bytes);
 
-  /// Frames currently cached, and their total size in bytes (all shards).
+  /// Heaps in this pool: the shared heap (index 0) and one per slot
+  /// (index 1 + slot). The per-heap views below take this index.
+  static constexpr std::size_t shard_count() { return PageShard::kSlots + 1; }
+
+  /// Frames currently cached, and their total size in bytes (every heap's
+  /// list and stack).
   std::size_t frames_held() const;
   std::size_t bytes_held() const;
 
-  /// Frames cached in one shard — the shard-balance diagnostic.
+  /// Frames cached by one heap, list and stack — the balance diagnostic.
   std::size_t shard_frames_held(std::size_t shard) const;
 
-  /// Max frames retained per size class *per shard*; extra frames overflow
-  /// to a sibling shard and are released to the system allocator only when
-  /// every shard's class is full.
+  /// Max blocks the shared heap's stack keeps per class; a worker's list
+  /// and stack a quarter of it each (see Balance above). It bounds blocks
+  /// freed from then on; a surplus already cached drains as it is used.
   void set_capacity_per_class(std::size_t n);
   std::size_t capacity_per_class() const;
 
-  /// Drops every cached frame in every shard; returns how many.
+  /// Frees every cached block no bound thread owns — the shared heap, and
+  /// the stacks of slots nobody holds — and returns how many frames that
+  /// was. A bound thread's list and stack stay; they move to the shared
+  /// heap when it unbinds.
   std::size_t clear();
 
   struct PoolStats {
-    std::uint64_t hits = 0;      // allocations served from the free lists
+    std::uint64_t hits = 0;      // allocations served from a free list
     std::uint64_t misses = 0;    // allocations that hit the system allocator
-    std::uint64_t recycled = 0;  // frames taken back from dying pages
-    std::uint64_t dropped = 0;   // frames released: every shard's class full
-    std::uint64_t steal_refills = 0;  // frames imported from a sibling shard
-                                      // when the home free list missed
-    std::uint64_t overflows = 0;      // frames parked in a sibling shard
-                                      // because the home class was full
+    std::uint64_t recycled = 0;  // blocks kept from dying pages or nodes
+    std::uint64_t dropped = 0;   // blocks released: every list was full
+    std::uint64_t refills = 0;   // empty worker lists refilled from the
+                                 // worker's stack or the shared heap
+    std::uint64_t spills = 0;    // of `recycled`, blocks pushed onto
+                                 // another heap's stack
 
-    /// Folds another shard's counters into this one (merge-on-read).
+    /// Folds another heap's counters into this one (merge-on-read).
     void merge(const PoolStats& o) {
       hits += o.hits;
       misses += o.misses;
       recycled += o.recycled;
       dropped += o.dropped;
-      steal_refills += o.steal_refills;
-      overflows += o.overflows;
+      refills += o.refills;
+      spills += o.spills;
     }
   };
 
-  /// Counters merged across every shard.
+  /// Page-frame counters merged across every heap.
   PoolStats stats() const;
-  /// One shard's counters. Attribution: hits/misses/steal_refills belong
-  /// to the shard the requesting thread was homed to; recycled/overflows
-  /// to the shard the frame landed in; dropped to the recycler's home.
+  /// Radix-node counters merged across every heap.
+  PoolStats node_stats() const;
+  /// One heap's page-frame counters, attributed to the heap of the thread
+  /// that allocated (hits, misses, refills) or freed (recycled, dropped,
+  /// spills); shard 0 counts the threads that hold no slot.
   PoolStats shard_stats(std::size_t shard) const;
-  void reset_stats();
 
-  /// Appends one PoolShardCounters entry per shard to `profile.pool_shards`
-  /// so bench/CLI SpecProfile summaries show the shard balance.
+  /// Appends one PoolShardCounters entry per heap that saw frame traffic
+  /// to `profile.pool_shards`, so bench/CLI SpecProfile summaries show
+  /// the balance.
   void fold_into(trace::SpecProfile& profile) const;
 
  private:
-  friend class Page;  // Page::die() recycles into the owning pool
+  friend class Page;       // Page::die() recycles into the owning pool
+  friend class PageShard;  // unbind() hands a slot's lists back
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::size_t, std::vector<Page*>> free;  // dead blocks
-    std::size_t frames = 0;  // cached frame count (all classes)
-    std::size_t bytes = 0;   // cached byte count
-    PoolStats stats;
-  };
+  struct Bin;
+  struct Heap;
 
-  /// The calling thread's shard: its PageShard binding folded into this
-  /// pool's shard range, or the locked global shard 0 when unbound.
-  std::size_t home_shard() const;
+  /// The class of blocks with key `key` (their size, with a node flag);
+  /// with `claim`, claims a free class on first use. kClasses when none.
+  std::size_t class_of(std::uint32_t key, bool claim);
+  /// A block of `bytes` from the calling thread's list, the stacks, or the
+  /// system allocator (zeroed when `zeroed`; a recycled block is not).
+  void* take(std::uint32_t key, std::size_t bytes, bool zeroed, bool* hit);
+  PageRef take_page(std::size_t size, bool zeroed, bool* was_hit);
+  /// Takes back a dead block. Any thread.
+  void give_back(void* block, std::uint32_t key);
+  /// Pushes a block of class `c` that the calling thread (slot `self`)
+  /// does not keep onto another worker's stack, or the shared heap's.
+  /// False when every one is full.
+  bool give_away(std::size_t c, void* block, std::size_t self);
+  /// Moves slot `slot`'s lists to the shared heap. Called by the slot's
+  /// owner as it unbinds.
+  void hand_back(std::size_t slot);
+  PoolStats sum(std::size_t shard, bool nodes) const;
+  /// Blocks a worker keeps per class on its list, and on its stack.
+  std::int64_t owner_cap() const {
+    return static_cast<std::int64_t>(
+        std::max<std::size_t>(1, capacity_per_class() / 4));
+  }
 
-  /// Takes back the block of a page whose last reference dropped.
-  void recycle(Page* block);
-
-  /// A live page of `size` bytes from a free list, or from the allocator
-  /// (zero-filled when `zeroed`) on a miss.
-  PageRef take(std::size_t size, bool zeroed, bool* was_hit);
-
-  std::vector<std::unique_ptr<Shard>> shards_;  // [0] = global fallback
+  std::atomic<std::uint32_t> class_key_[kClasses]{};
+  std::unique_ptr<Heap[]> heaps_;  // [0] shared, [1 + s] slot s
+  std::mutex shared_mu_;           // owns the shared heap's lists
   std::atomic<std::size_t> cap_per_class_{1024};
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "pagestore/page_pool.hpp"
 #include "trace/trace.hpp"
@@ -120,107 +119,6 @@ void PageTable::adopt(PageTable&& child) {
   epoch_ = gen_;
   MW_TRACE_EVENT(trace::EventKind::kPageAdopt, kNoPid, kNoPid,
                  map_.resident());
-}
-
-PageMap::RangeDelta PageTable::extract_segment(const PageTable& child,
-                                               std::size_t page_lo,
-                                               std::size_t page_hi) const {
-  MW_CHECK(child.page_size_ == page_size_);
-  return map_.extract_delta(child.map_, page_lo, page_hi);
-}
-
-std::size_t PageTable::apply_segment(const PageMap::RangeDelta& delta,
-                                     const CowStats& child_stats) {
-  const std::size_t installed = delta.index.size();
-  map_.apply_delta(delta);
-  stats_.merge(child_stats);
-  // Installed tags came from the child's write clock, which started at our
-  // generation when the child forked; advancing past the largest installed
-  // tag keeps every adopted tag <= epoch_, restarting the write-fraction
-  // clock exactly as a full adopt does.
-  for (std::uint64_t t : delta.tag) gen_ = std::max(gen_, t);
-  epoch_ = gen_;
-  MW_TRACE_EVENT(trace::EventKind::kPageAdopt, kNoPid, kNoPid,
-                 map_.resident(), installed);
-  return installed;
-}
-
-std::size_t PageTable::adopt_segment(PageTable&& child, std::size_t page_lo,
-                                     std::size_t page_hi) {
-  const PageMap::RangeDelta delta =
-      extract_segment(child, page_lo, page_hi);
-  return apply_segment(delta, child.stats_);
-}
-
-PageTable::AdoptBatchStats PageTable::adopt_segments(
-    std::vector<SegmentAdoptOp> ops) {
-  AdoptBatchStats batch;
-  if (ops.empty()) return batch;
-  for (const SegmentAdoptOp& op : ops) {
-    MW_CHECK(op.child != nullptr);
-    MW_CHECK(op.child->page_size_ == page_size_);
-    MW_CHECK(op.child->num_pages() == num_pages());
-    MW_CHECK(op.page_lo <= op.page_hi && op.page_hi <= num_pages());
-  }
-
-  // Segment-ownership check, part 1: declared ranges pairwise disjoint.
-  std::vector<std::size_t> order(ops.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ops[a].page_lo < ops[b].page_lo;
-  });
-  bool overlap = false;
-  for (std::size_t k = 0; k + 1 < order.size(); ++k)
-    if (ops[order[k]].page_hi > ops[order[k + 1]].page_lo) overlap = true;
-
-  std::vector<PageMap::RangeDelta> deltas(ops.size());
-  bool confined = !overlap;
-  if (confined) {
-    // Parallel extraction: each child's write set is read off the shared
-    // trees concurrently. Single-child batches skip the thread spawn.
-    if (ops.size() > 1) {
-      batch.parallel = true;
-      std::vector<std::thread> extractors;
-      extractors.reserve(ops.size() - 1);
-      for (std::size_t i = 1; i < ops.size(); ++i)
-        extractors.emplace_back([this, &ops, &deltas, i] {
-          deltas[i] = extract_segment(*ops[i].child, ops[i].page_lo,
-                                      ops[i].page_hi);
-        });
-      deltas[0] = extract_segment(*ops[0].child, ops[0].page_lo,
-                                  ops[0].page_hi);
-      for (std::thread& t : extractors) t.join();
-    } else {
-      deltas[0] = extract_segment(*ops[0].child, ops[0].page_lo,
-                                  ops[0].page_hi);
-    }
-    for (const PageMap::RangeDelta& d : deltas) {
-      batch.out_of_range += d.out_of_range;
-      if (!d.confined()) confined = false;
-    }
-  }
-
-  if (confined) {
-    // Disjoint and fully owned: splices commute, apply in any order.
-    for (std::size_t i = 0; i < ops.size(); ++i)
-      batch.pages_spliced += apply_segment(deltas[i], ops[i].child->stats_);
-  } else {
-    // Segment-ownership check failed (overlapping declarations, or a child
-    // wrote outside its segment): fall back to the serialized semantics —
-    // one child at a time in submission order, each extracted against the
-    // parent as updated by its predecessors, last writer winning.
-    batch.fell_back = true;
-    batch.parallel = false;
-    batch.out_of_range = 0;
-    for (const SegmentAdoptOp& op : ops) {
-      const PageMap::RangeDelta d =
-          extract_segment(*op.child, 0, num_pages());
-      batch.out_of_range += d.out_of_range;  // always 0 for the full range
-      batch.pages_spliced += apply_segment(d, op.child->stats_);
-    }
-  }
-  batch.children = ops.size();
-  return batch;
 }
 
 std::size_t PageTable::resident_pages() const { return map_.resident(); }

@@ -93,59 +93,6 @@ class PageTable {
   /// child's borrowing ends here. This table keeps its own borrowing mode.
   void adopt(PageTable&& child);
 
-  // --- Segment commits (sharded pagestore / parallel commit path) -------
-  //
-  // A full adopt() replaces the whole map, so two children can never both
-  // commit into one parent. Segment commits merge instead: each child owns
-  // a disjoint page range, and the commit splices only the slots the child
-  // actually changed. The expensive half — walking the child's tree for
-  // its write set — is a pure read on both maps, so disjoint children
-  // extract concurrently; the splice is a serial pass of pointer installs.
-
-  /// Phase 1: the child's write set for [page_lo, page_hi) against this
-  /// table. Read-only on both tables; safe to call concurrently for
-  /// several children of the same parent (one call per committing worker).
-  PageMap::RangeDelta extract_segment(const PageTable& child,
-                                      std::size_t page_lo,
-                                      std::size_t page_hi) const;
-
-  /// Phase 2: splices a previously extracted delta and absorbs the
-  /// child's accounting (merge exactly once per child, like adopt). Serial
-  /// — requires the same exclusive access as any write. Returns the number
-  /// of pages installed.
-  std::size_t apply_segment(const PageMap::RangeDelta& delta,
-                            const CowStats& child_stats);
-
-  /// One child, one segment: extract + apply, plus the write-fraction
-  /// clock restart a full adopt performs.
-  std::size_t adopt_segment(PageTable&& child, std::size_t page_lo,
-                            std::size_t page_hi);
-
-  /// One committing child of a batch segment commit.
-  struct SegmentAdoptOp {
-    PageTable* child = nullptr;
-    std::size_t page_lo = 0;
-    std::size_t page_hi = 0;  // exclusive
-  };
-
-  struct AdoptBatchStats {
-    std::size_t children = 0;        // children committed
-    std::size_t pages_spliced = 0;   // slots installed across all children
-    std::size_t out_of_range = 0;    // child writes outside declared ranges
-    bool parallel = false;           // extraction ran on worker threads
-    bool fell_back = false;          // overlap/escape forced the serial path
-  };
-
-  /// Commits every child in `ops` into this table. When the declared
-  /// ranges are pairwise disjoint and every child's writes stayed inside
-  /// its range, the extractions run in parallel (one thread per child for
-  /// multi-child batches) and the splices commute; otherwise the whole
-  /// batch falls back to today's serialized semantics — children adopted
-  /// one at a time in vector order, last writer winning where they
-  /// overlap. Children are consumed either way (their tables are left
-  /// valid but their accounting has been absorbed).
-  AdoptBatchStats adopt_segments(std::vector<SegmentAdoptOp> ops);
-
   /// Number of resident (allocated) pages. O(1).
   std::size_t resident_pages() const;
 

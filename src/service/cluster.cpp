@@ -215,7 +215,11 @@ void ClusterNode::rejoin(NodeId peer) {
   }
 }
 
-void ClusterNode::hand_off_lost_sessions() {
+void ClusterNode::handoff_settled(NodeId peer) {
+  if (handing_off_.erase(peer) > 0) channel_.forget_peer(peer);
+}
+
+void ClusterNode::hand_off_lost_sessions(bool leaving) {
   // Revoke first, uncommitted: finishing a pending for a client this node
   // no longer owns could race the new owner into a double execution.
   stats_.revoked += server_.shed_pendings_if(
@@ -233,10 +237,19 @@ void ClusterNode::hand_off_lost_sessions() {
                    carried, transport_.now());
     // Never resent: a lost handoff leaves the shared log as the witness,
     // exactly as a node death does (rule 4).
+    if (leaving) handing_off_.insert(m);
     if (!channel_.send(m, std::move(image),
-                       [this] { ++stats_.handoffs_delivered; },
-                       [this] { ++stats_.handoffs_failed; }))
+                       [this, m] {
+                         ++stats_.handoffs_delivered;
+                         handoff_settled(m);
+                       },
+                       [this, m] {
+                         ++stats_.handoffs_failed;
+                         handoff_settled(m);
+                       })) {
       ++stats_.handoffs_failed;  // above max_message_bytes()
+      handing_off_.erase(m);
+    }
   }
 }
 
@@ -311,9 +324,14 @@ void ClusterNode::remove_node(NodeId node) {
                  epoch_, transport_.now());
   if (node == self_) {
     // Planned departure: everything this node holds moves to the
-    // survivors, shed-then-handoff, before traffic stops arriving.
-    hand_off_lost_sessions();
+    // survivors, shed-then-handoff, before traffic stops arriving. It
+    // watches a survivor only until its handoff there settles: the
+    // survivors forget the leaver, and their silence must not read as
+    // death here (evictions, then a fence) or draw beats.
+    hand_off_lost_sessions(/*leaving=*/true);
     update_fence();
+    for (NodeId m : members_)
+      if (!handing_off_.contains(m)) channel_.forget_peer(m);
     return;
   }
   ++stats_.evictions;

@@ -166,8 +166,15 @@ class ClusterNode : public TransportReceiver {
   /// Planned rebalance: grow or shrink the ring (and the fencing
   /// universe). The caller drives the same call on every participant;
   /// sessions moving away from this node are handed off immediately.
+  /// Removing this node itself is a planned departure: it stops watching
+  /// each survivor once its handoff there is delivered or failed.
   void add_node(NodeId node);
   void remove_node(NodeId node);
+
+  /// The peer channel's counters (frames, retries, heartbeats).
+  const TransportChannel::Stats& channel_stats() const {
+    return channel_.stats();
+  }
 
   void on_message(NodeId from, std::span<const std::uint8_t> payload) override;
 
@@ -180,8 +187,11 @@ class ClusterNode : public TransportReceiver {
   void cancel_probation(NodeId peer);
   void evict(NodeId peer);
   void rejoin(NodeId peer);
-  /// Revokes + hands off everything this node holds but no longer owns.
-  void hand_off_lost_sessions();
+  /// Revokes + hands off everything this node holds but no longer owns;
+  /// `leaving`: this node departs, and forgets each peer once its handoff
+  /// settles (handoff_settled).
+  void hand_off_lost_sessions(bool leaving = false);
+  void handoff_settled(NodeId peer);
   void update_fence();
   void reconcile_from_log();
   void advance_log_index();
@@ -197,6 +207,7 @@ class ClusterNode : public TransportReceiver {
   std::uint64_t epoch_ = 0;   // bumped on every local ring change
   bool fenced_ = false;
   std::map<NodeId, TimerId> probation_;  // peer -> its rejoin timer
+  std::set<NodeId> handing_off_;  // a leaver's peers with a handoff in flight
   // Cluster-wide (client, seq) -> value index over the shared EffectLog,
   // advanced incrementally — the admission-time replay check.
   std::map<std::pair<NodeId, std::uint64_t>, std::uint64_t> log_index_;

@@ -254,23 +254,22 @@ std::string SpecProfile::to_string() const {
     for (const PoolShardCounters& c : pool_shards) {
       sum.hits += c.hits;
       sum.misses += c.misses;
-      sum.steal_refills += c.steal_refills;
-      sum.overflows += c.overflows;
+      sum.refills += c.refills;
+      sum.spills += c.spills;
       sum.frames_held += c.frames_held;
     }
-    os << "  page pool: " << pool_shards.size() << " shard(s), " << sum.hits
-       << " hit(s), " << sum.misses << " miss(es), " << sum.steal_refills
-       << " steal-refill(s), " << sum.overflows << " overflow(s), "
-       << sum.frames_held << " frame(s) held\n";
+    os << "  page pool: " << pool_shards.size() << " heap(s), " << sum.hits
+       << " hit(s), " << sum.misses << " miss(es), " << sum.refills
+       << " refill(s), " << sum.spills << " spill(s), " << sum.frames_held
+       << " frame(s) held\n";
     for (const PoolShardCounters& c : pool_shards) {
-      if (c.hits + c.misses + c.recycled + c.dropped + c.steal_refills +
-              c.overflows + c.frames_held == 0)
+      if (c.hits + c.misses + c.recycled + c.dropped + c.frames_held == 0)
         continue;
-      os << "    shard #" << c.shard << (c.shard == 0 ? " (global)" : "")
+      os << "    heap #" << c.shard << (c.shard == 0 ? " (shared)" : "")
          << ": " << c.hits << " hit(s), " << c.misses << " miss(es), "
          << c.recycled << " recycled, " << c.dropped << " dropped, "
-         << c.steal_refills << " stolen-in, " << c.overflows
-         << " overflowed-in, " << c.frames_held << " held\n";
+         << c.refills << " refill(s), " << c.spills << " spilled, "
+         << c.frames_held << " held\n";
     }
   }
   for (const RaceProfile& r : races) {

@@ -55,20 +55,20 @@ struct RaceProfile {
   }
 };
 
-/// One PagePool shard's counters at profile time. The trace layer defines
-/// only the carrier struct (it cannot depend on the pagestore); the pool
-/// fills it via PagePool::fold_into, typically through TraceSession's
-/// profile hook. hits/misses/steal_refills are attributed to the shard the
-/// allocating thread was homed to, recycled/overflows to the shard the
-/// frame landed in.
+/// One PagePool heap's page-frame counters at profile time. The trace
+/// layer defines only the carrier struct (it cannot depend on the
+/// pagestore); the pool fills it via PagePool::fold_into, typically through
+/// TraceSession's profile hook. hits/misses/refills are attributed to the
+/// heap of the allocating thread, recycled/dropped/spills to the heap of
+/// the thread that freed the frame.
 struct PoolShardCounters {
-  std::size_t shard = 0;  // 0 = the unbound-thread global fallback shard
+  std::size_t shard = 0;  // 0 = the shared heap, 1 + s = worker slot s
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t recycled = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t steal_refills = 0;
-  std::uint64_t overflows = 0;
+  std::uint64_t refills = 0;
+  std::uint64_t spills = 0;
   std::uint64_t frames_held = 0;
 };
 
@@ -80,7 +80,7 @@ struct SpecProfile {
   /// svc_breaker transitions into the open state (b == 1) — a payload
   /// condition no per-kind tally expresses.
   std::uint64_t svc_breaker_opens = 0;
-  // Per-shard frame-pool counters (empty unless a caller folded them in;
+  // Per-heap frame-pool counters (empty unless a caller folded them in;
   // see PagePool::fold_into and TraceSession::set_profile_hook).
   std::vector<PoolShardCounters> pool_shards;
 

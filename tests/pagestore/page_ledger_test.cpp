@@ -46,7 +46,7 @@ TEST_F(PageLedgerTest, ConstructAndDestroy) {
 
 // Copying a page's bytes makes a second page; copying a reference does not.
 TEST_F(PageLedgerTest, CopyConstructCounts) {
-  PagePool pool(1);
+  PagePool pool;
   bool hit = false;
   {
     PageRef a = make_page(kSize);
@@ -65,7 +65,7 @@ TEST_F(PageLedgerTest, CopyConstructCounts) {
 // Moving a reference neither makes nor kills a page: a page and its copy
 // both stay counted until each one's last reference is destroyed.
 TEST_F(PageLedgerTest, MoveConstructCountsBothUntilDestroyed) {
-  PagePool pool(1);
+  PagePool pool;
   bool hit = false;
   {
     PageRef a = make_page(kSize);
@@ -105,7 +105,7 @@ TEST_F(PageLedgerTest, VectorChurnBalances) {
 }
 
 TEST_F(PageLedgerTest, PoolMissAndHitEachMakeOnePage) {
-  PagePool pool(1);
+  PagePool pool;
   bool hit = true;
   {
     PageRef p = pool.acquire_zeroed(kSize, &hit);
@@ -127,7 +127,7 @@ TEST_F(PageLedgerTest, PoolMissAndHitEachMakeOnePage) {
 }
 
 TEST_F(PageLedgerTest, DropIntoFullClassFreesTheBlock) {
-  PagePool pool(1);  // two shards: the global one and one worker shard
+  PagePool pool;
   pool.set_capacity_per_class(1);
   bool hit = false;
   {
@@ -135,15 +135,16 @@ TEST_F(PageLedgerTest, DropIntoFullClassFreesTheBlock) {
     for (int i = 0; i < 3; ++i) live.push_back(pool.acquire_uninit(kSize, &hit));
     EXPECT_EQ(delta(), 3);
   }
-  // Two blocks fit (one per shard, via overflow); the third is freed.
+  // No worker holds a slot, so every drop goes to the shared heap: one
+  // block fits, the other two are freed.
   EXPECT_EQ(delta(), 0);
-  EXPECT_EQ(pool.frames_held(), 2u);
-  EXPECT_EQ(pool.stats().recycled, 2u);
-  EXPECT_EQ(pool.stats().dropped, 1u);
+  EXPECT_EQ(pool.frames_held(), 1u);
+  EXPECT_EQ(pool.stats().recycled, 1u);
+  EXPECT_EQ(pool.stats().dropped, 2u);
 }
 
 TEST_F(PageLedgerTest, ClearFreesHeldBlocksWithoutTouchingTheLedger) {
-  PagePool pool(1);
+  PagePool pool;
   bool hit = false;
   PageRef kept = pool.acquire_zeroed(kSize, &hit);
   { PageRef dropped = pool.acquire_copy(*kept, &hit); }
@@ -158,7 +159,7 @@ TEST_F(PageLedgerTest, ClearFreesHeldBlocksWithoutTouchingTheLedger) {
 
 TEST_F(PageLedgerTest, LocalPoolDestructionFreesItsBlocks) {
   {
-    PagePool pool(2);
+    PagePool pool;
     bool hit = false;
     std::vector<PageRef> live;
     for (int i = 0; i < 8; ++i) live.push_back(pool.acquire_zeroed(kSize, &hit));

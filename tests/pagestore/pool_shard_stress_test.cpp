@@ -1,13 +1,15 @@
-// Sharded-pagestore stress: N threads hammer the pool's acquire/recycle
-// paths and the parallel segment-commit pipeline concurrently, with frames
-// deliberately dropped on threads (and shards) other than the ones that
-// allocated them. Built as its own target so the TSan CI job can run it —
-// the assertions here (exact ledger, auditor-clean, coherent merged stats)
-// are meaningful exactly when the sanitizer is watching the shard locks,
-// the ledger's relaxed atomics, and the concurrent extraction walks.
+// Pagestore allocator stress: threads hammer the pool's acquire/recycle
+// paths with frames and radix nodes deliberately dropped on threads other
+// than the ones that allocated them, two schedulers claim slots side by
+// side, and sibling forks COW-write and drop while a parent adopts. Built
+// as its own target so the TSan CI job can run it — the assertions here
+// (exact ledger, auditor-clean, coherent merged stats, exclusive slots)
+// are meaningful exactly when the sanitizer is watching the owner lists,
+// the atomic stacks and the ledger's relaxed atomics.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "core/runtime_auditor.hpp"
+#include "core/spec_scheduler.hpp"
 #include "pagestore/page.hpp"
 #include "pagestore/page_pool.hpp"
 #include "pagestore/page_table.hpp"
@@ -31,19 +34,19 @@ constexpr std::size_t kPageSize = 96;
 
 TEST(PoolShardStress, CrossThreadAcquireRecycleKeepsLedgerExact) {
   const std::int64_t baseline = Page::live_instances();
-  PagePool pool(kThreads);
-  pool.set_capacity_per_class(8);  // force overflow/drop traffic too
+  PagePool pool;
+  pool.set_capacity_per_class(8);  // force spill/drop traffic too
 
   // Pages parked here by one thread are dropped by another, so destruction
-  // (ledger -1, frame recycle) constantly lands on a different shard than
-  // construction (+1) did.
+  // (ledger -1, frame recycle) constantly lands on a different slot than
+  // construction (+1) did, and frames travel through the atomic stacks.
   std::mutex exchange_mu;
   std::vector<PageRef> exchange;
 
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      PageShard::bind(t);
+      PageShard::bind();
       std::uint64_t rng = 0x9e3779b9u * (t + 1);
       auto next = [&rng] {
         rng ^= rng << 13;
@@ -88,66 +91,98 @@ TEST(PoolShardStress, CrossThreadAcquireRecycleKeepsLedgerExact) {
   EXPECT_EQ(Page::live_instances(), baseline);
 
   // Merged stats stay coherent: every acquire was a hit or a miss, and
-  // every hit removed exactly one parked frame net (a steal refill moves
-  // the rest of its batch between shards without re-counting them), so
-  // the cached population is exactly recycled minus hits.
+  // every hit took exactly one kept frame (moving frames between lists and
+  // stacks, or to the shared heap on unbind, re-counts none), so the
+  // cached population is exactly recycled minus hits.
   const PagePool::PoolStats s = pool.stats();
   EXPECT_EQ(s.hits + s.misses, kThreads * kIters);
   EXPECT_EQ(pool.frames_held(), s.recycled - s.hits);
 }
 
-TEST(PoolShardStress, ParallelSegmentCommitRoundsStayAuditorClean) {
+TEST(PoolShardStress, TwoSchedulersNeverShareAnOwnerList) {
+  // Two runtimes' worth of workers in one process: each worker claims its
+  // own slot, so no owner list has two owners. Every task churns pages and
+  // radix nodes on the global pool from whichever worker runs it.
+  const std::int64_t baseline = Page::live_instances();
+  constexpr std::size_t kWorkers = 3;
+  constexpr std::size_t kTasks = 48;
+  std::mutex mu;
+  std::unordered_set<std::size_t> slots[2];
+  std::atomic<std::size_t> done{0};
+  {
+    SchedConfig cfg;
+    cfg.workers = kWorkers;
+    SpecScheduler a(cfg), b(cfg);
+    SpecScheduler* scheds[2] = {&a, &b};
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      const std::size_t which = t % 2;
+      scheds[which]->submit(
+          [&, which, t] {
+            const std::size_t slot = PageShard::current();
+            PageTable table(kPageSize, 3 * 64);
+            for (std::size_t p = t % 7; p < 3 * 64; p += 5) {
+              PageTable child = table.fork();
+              child.write_page(p)[0] = static_cast<std::uint8_t>(t);
+              table.adopt(std::move(child));
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              slots[which].insert(slot);
+            }
+            done.fetch_add(1);
+          },
+          1.0, t + 1, kNoPid);
+    }
+    while (done.load() < kTasks) std::this_thread::yield();
+  }
+  for (const auto& set : slots) {
+    EXPECT_FALSE(set.contains(PageShard::kUnbound));
+    EXPECT_LE(set.size(), kWorkers);
+  }
+  for (std::size_t s : slots[0])
+    EXPECT_FALSE(slots[1].contains(s)) << "slot " << s << " in both";
+  EXPECT_EQ(Page::live_instances(), baseline);
+}
+
+TEST(PoolShardStress, FrameAndNodeFreedOnAnUnboundThreadAreReusedByTheirOwner) {
+  // A worker writes a page (a leaf node and a frame from its own lists),
+  // an unbound thread drops the table, and the worker's next write reuses
+  // both from its stack: the frame by address, the node as a pool hit.
+  constexpr std::size_t kSize = 200;  // a class of this test's own
+  const std::int64_t baseline = Page::live_instances();
   RuntimeAuditor auditor;
   ProcessTable procs;
-  constexpr std::size_t kSegPages = 24;
-  constexpr std::size_t kRounds = 12;
-  {
-    PageTable parent(kPageSize, kThreads * kSegPages);
-
-    for (std::size_t round = 0; round < kRounds; ++round) {
-      std::vector<PageTable> kids;
-      kids.reserve(kThreads);
-      for (std::size_t k = 0; k < kThreads; ++k) kids.push_back(parent.fork());
-
-      // Each worker COW-writes its own segment of its own child; forks all
-      // happened above, so the only shared state the writers touch is the
-      // immutable parent tree and the sharded pool/ledger.
-      std::vector<std::thread> writers;
-      for (std::size_t k = 0; k < kThreads; ++k) {
-        writers.emplace_back([&, k] {
-          PageShard::bind(k);
-          const std::size_t lo = k * kSegPages;
-          for (std::size_t p = 0; p < kSegPages; ++p) {
-            std::uint8_t* d = kids[k].write_page(lo + p);
-            d[0] = static_cast<std::uint8_t>(round + 1);
-            d[1] = static_cast<std::uint8_t>(k);
-          }
-          PageShard::unbind();
-        });
-      }
-      for (auto& th : writers) th.join();
-
-      std::vector<PageTable::SegmentAdoptOp> ops;
-      for (std::size_t k = 0; k < kThreads; ++k)
-        ops.push_back({&kids[k], k * kSegPages, (k + 1) * kSegPages});
-      const PageTable::AdoptBatchStats batch =
-          parent.adopt_segments(std::move(ops));
-      ASSERT_FALSE(batch.fell_back);
-      ASSERT_EQ(batch.pages_spliced, kThreads * kSegPages);
-
-      for (std::size_t k = 0; k < kThreads; ++k) {
-        const Page* p = parent.peek(k * kSegPages);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(p->data()[0], static_cast<std::uint8_t>(round + 1));
-        EXPECT_EQ(p->data()[1], static_cast<std::uint8_t>(k));
-      }
-    }
-    // With every child dead and every round's splice complete, the only
-    // pages beyond the baseline must be the ones the parent still reaches.
-    auditor.add_table(parent);
-    EXPECT_TRUE(auditor.run(procs).clean())
-        << auditor.run(procs).to_string();
-  }
+  std::optional<PageTable> table;
+  const Page* first = nullptr;
+  std::atomic<int> step{0};
+  PagePool::PoolStats nodes_before, nodes_after, frames_after;
+  std::thread worker([&] {
+    PageShard::bind();
+    table.emplace(kSize, 8);
+    table->write_page(3)[0] = 1;
+    first = table->peek(3);
+    step = 1;
+    while (step.load() != 2) std::this_thread::yield();
+    nodes_before = PagePool::global().node_stats();
+    const PagePool::PoolStats frames_before = PagePool::global().stats();
+    PageTable again(kSize, 8);
+    again.write_page(5)[0] = 2;
+    nodes_after = PagePool::global().node_stats();
+    frames_after = PagePool::global().stats();
+    EXPECT_EQ(again.peek(5), first);  // the same frame, by way of the stack
+    EXPECT_EQ(frames_after.hits, frames_before.hits + 1);
+    EXPECT_EQ(frames_after.misses, frames_before.misses);
+    PageShard::unbind();
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  std::thread([&] { table.reset(); }).join();  // unbound: frees both blocks
+  step = 2;
+  worker.join();
+  EXPECT_EQ(nodes_after.misses, nodes_before.misses);
+  EXPECT_EQ(nodes_after.hits, nodes_before.hits + 1);
+  EXPECT_EQ(Page::live_instances(), baseline);
+  EXPECT_TRUE(auditor.run(procs).clean()) << auditor.run(procs).to_string();
 }
 
 TEST(PoolShardStress, SiblingsBlindWriteAndDropWhileAParentAdopts) {
@@ -180,7 +215,7 @@ TEST(PoolShardStress, SiblingsBlindWriteAndDropWhileAParentAdopts) {
       std::vector<std::thread> siblings;
       for (std::size_t k = 0; k < kThreads; ++k) {
         siblings.emplace_back([&, k] {
-          PageShard::bind(k);
+          PageShard::bind();
           const auto tag = static_cast<std::uint8_t>(round * kThreads + k);
           const std::vector<std::uint8_t> page(kPageSize, tag);
           // Strided so siblings break overlapping pages of shared leaves.
@@ -243,7 +278,7 @@ TEST(PoolShardStress, ScopedSiblingsWriteAndDropThenOneIsAdopted) {
       std::vector<std::thread> siblings;
       for (std::size_t k = 0; k < kThreads; ++k) {
         siblings.emplace_back([&, k] {
-          PageShard::bind(k);
+          PageShard::bind();
           const auto tag = static_cast<std::uint8_t>(round * kThreads + k);
           const std::vector<std::uint8_t> two{tag, tag};
           // Strided so siblings copy overlapping pages of shared leaves.

@@ -520,6 +520,42 @@ TEST(ClusterSim, PlannedShrinkHandoffReachesSurvivorsThatDroppedTheLeaver) {
     EXPECT_EQ(c.nodes[i]->server().stats().requests, requests[i]);
 }
 
+TEST(ClusterSim, PlannedShrinkLeaverStopsWatchingOnceItsHandoffsSettle) {
+  SimCluster c(3);
+  constexpr NodeId kLeaver = 102;
+  std::size_t owned = 0;
+  for (NodeId cand = 200; owned < 3 && cand < 1200; ++cand) {
+    if (c.router->owner_of(cand) != kLeaver) continue;
+    c.client(cand).call(40, cand);
+    ++owned;
+  }
+  ASSERT_EQ(owned, 3u);
+  c.run_for(vt_ms(50));
+
+  for (NodeId id : {100, 101}) c.node(id).remove_node(kLeaver);
+  ClusterNode& leaver = c.node(kLeaver);
+  leaver.remove_node(kLeaver);
+  c.router->remove_node(kLeaver);
+  const ClusterStats& s = leaver.stats();
+  ASSERT_GE(s.handoffs_sent, 1u);
+  VDuration waited = 0;
+  while (s.handoffs_delivered + s.handoffs_failed < s.handoffs_sent &&
+         waited < vt_ms(200)) {
+    c.run_for(vt_ms(1));
+    waited += vt_ms(1);
+  }
+  ASSERT_EQ(s.handoffs_delivered, s.handoffs_sent);
+  const std::uint64_t beats = leaver.channel_stats().heartbeats_sent;
+
+  // One second past remove_node(self): the survivors have long forgotten
+  // the leaver, and it has forgotten them — no beat, no eviction, no fence.
+  c.run_for(vt_ms(1000) - waited);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_FALSE(leaver.fenced());
+  EXPECT_EQ(leaver.channel_stats().heartbeats_sent, beats);
+  EXPECT_EQ(leaver.ring().size(), 2u);
+}
+
 TEST(ClusterSim, MinorityPartitionFencesThenHealsWithProbation) {
   SimCluster c(3);
   const NodeId a = c.ids[0], b = c.ids[1], d = c.ids[2];
