@@ -1,17 +1,19 @@
 // POLICY-AB — static vs adaptive speculation policy (core/spec_policy.hpp)
-// across three workload shapes, on the two surfaces the policy engine
-// drives hardest:
+// across three workload shapes, on the surfaces the policy engine drives:
 //
 //   * the kPool race path: k-way races where exactly one scripted position
 //     wins fast and the losers burn CPU until cancelled. Base priorities
 //     are equal — the static policy runs alternatives in submission order,
-//     the adaptive policy reorders by learned per-position win rate (with
-//     the epsilon-explore floor), so the predicted winner starts first and
-//     the losers are revoked unrun.
+//     the adaptive policy reorders by learned per-position win rate, so the
+//     predicted winner starts first and the losers are revoked unrun. It
+//     runs twice: on the wall-clock pool (wasted-work ratio from a traced
+//     SpecProfile, p99 in wall us) and on the deterministic pool with zero
+//     steal probability, where the driver runs one task at a time in
+//     priority order and the count of loser bodies that ran before the
+//     winner is exact.
 //   * the or-parallel Prolog driver (deterministic kPool): a 4-clause
 //     choice point whose winning clause is scripted per query; the
-//     adaptive policy both reorders clause tasks and holds the
-//     splitting-strategy veto.
+//     adaptive policy both reorders clause tasks and holds the split veto.
 //
 // Shapes: `uniform` (winner position uniformly random — no signal; the
 // modes should tie), `skewed` (one position wins 85% of the time — the
@@ -19,14 +21,19 @@
 // `burst` races — the win-rate decay keeps history cheap to outvote).
 //
 // With --check the binary exits non-zero unless the adaptive policy
-// dominates-or-ties static on BOTH the wasted-work ratio (traced
-// SpecProfile) and the p99 latency, per surface, on all three shapes —
-// ties are banded (`tie_wasted`/`tie_p99` factors plus a small absolute
-// slack) because "no signal to exploit" must not fail on noise.
+// dominates-or-ties static per shape on every gated column: losers run
+// before the winner on the deterministic race surface (adaptive at most
+// static), wasted-work ratio and p99 on the Prolog surface, and wasted
+// work and p99 on the wall-clock race surface. Ties on the banded columns
+// use the `tie_wasted`/`tie_p99` factors plus a small absolute slack,
+// because "no signal to exploit" must not fail on noise. --check=det gates
+// only the deterministic columns (the wall-clock race cells are still run,
+// printed and written to --json): a 0.4 s wall-clock p99 is one host stall
+// away from failing, so the short smoke run leaves it to the full window.
 //
 //   $ policy_ab [--races=200] [--queries=120] [--alts=4] [--work_us=4]
 //               [--spins=40] [--burst=60] [--reps=3] [--seed=1]
-//               [--tie_wasted=1.10] [--tie_p99=1.25] [--check]
+//               [--tie_wasted=1.10] [--tie_p99=1.25] [--check[=det]]
 //               [--json=BENCH_policy_ab.json]
 #include <algorithm>
 #include <cstdint>
@@ -39,7 +46,6 @@
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
 #include "core/runtime.hpp"
-#include "core/spec_policy.hpp"
 #include "prolog/or_parallel.hpp"
 #include "trace/spec_profile.hpp"
 #include "trace/trace.hpp"
@@ -129,18 +135,14 @@ struct Cell {
   // query's latency, in inference units, with zero wall-clock noise.
   double p50 = 0;
   double p99 = 0;
-  std::uint64_t explores = 0;       // policy trace: floor/epsilon boosts
-  std::uint64_t width_updates = 0;  // policy trace: admission-width moves
-  std::uint64_t vetoes = 0;         // prolog only: splits refused
+  std::uint64_t vetoes = 0;      // prolog only: splits refused
+  std::uint64_t losers_run = 0;  // deterministic race only: see below
 };
 
 PolicyConfig bench_policy(PolicyMode mode) {
   PolicyConfig pc;
   pc.mode = mode;
   pc.win_window = 8;  // fast decay: bursty winners migrate every `burst`
-  // Exploration budget: with k=4 the floor boosts ~3/explore_window of the
-  // races; 64 keeps it near the 5% epsilon instead of drowning the ranking.
-  pc.explore_window = 64;
   return pc;
 }
 
@@ -185,10 +187,45 @@ Cell run_race_cell(PolicyMode mode, Shape shape, std::size_t races,
     wasted_sum += prof.wasted_ratio();
     c.p50 = rep == 0 ? s.median : std::min(c.p50, s.median);
     c.p99 = rep == 0 ? s.p99 : std::min(c.p99, s.p99);
-    c.explores = prof.count(trace::EventKind::kPolicyExplore);
-    c.width_updates = prof.count(trace::EventKind::kPolicyWidth);
   }
   c.wasted = wasted_sum / static_cast<double>(reps);
+  return c;
+}
+
+// The same race sequence on the deterministic pool with zero steal
+// probability: the driver runs one task at a time, highest priority first
+// (ties LIFO), and the winner's sync revokes every sibling still queued.
+// So the loser bodies that ran are exactly those started before the winner
+// — a count with no wall clock in it. Static order starts the last
+// position first; adaptive order starts the learned favourite first.
+// The surface runs kDetRaceFactor times the wall-clock race count: it is
+// cheap, and on `uniform` the count's draw noise (no order can win there
+// in expectation) shrinks to about 2% of it at the default size.
+constexpr std::size_t kDetRaceFactor = 16;
+
+Cell run_det_race_cell(PolicyMode mode, Shape shape, std::size_t races,
+                       std::size_t alts, VDuration work_us, int spins,
+                       std::size_t burst, std::uint64_t seed) {
+  RuntimeConfig cfg;
+  cfg.backend = AltBackend::kPool;
+  cfg.page_size = 256;
+  cfg.num_pages = 16;
+  cfg.seed = seed;
+  cfg.pool.deterministic_seed = seed ^ 0xde7;
+  cfg.pool.deterministic_steal_prob = 0.0;
+  cfg.pool.max_live_worlds = 8;
+  cfg.policy = bench_policy(mode);
+  Runtime rt(cfg);
+  World parent = rt.make_root("ab-det");
+  Rng script(seed ^ 0x5ab5ab);  // the wall-clock cells' winner sequence
+  Cell c;
+  for (std::size_t r = 0; r < races; ++r) {
+    const std::size_t w = winner_at(shape, r, alts, burst, script);
+    const AltOutcome out =
+        run_alternatives(rt, parent, make_race(alts, w, work_us, spins));
+    for (const AltReport& a : out.alts)
+      if (a.ran && !a.success) ++c.losers_run;
+  }
   return c;
 }
 
@@ -230,8 +267,6 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
   prolog::OrParallelConfig ocfg;
   ocfg.spawn_depth = 1;
 
-  trace::reset();
-  trace::Scope traced(true);
   Rng script(seed ^ 0x5ab5ab);
   std::vector<double> lat;
   lat.reserve(queries);
@@ -256,8 +291,6 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
       std::exit(2);
     }
   }
-  const trace::SpecProfile prof =
-      trace::build_spec_profile(trace::collect(), trace::dropped());
   const Summary s = summarize(lat);
   Cell c;
   // Deterministic wasted-work ratio: inferences the speculative engine
@@ -271,8 +304,6 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
                 static_cast<double>(total_inf);
   c.p50 = s.median;
   c.p99 = s.p99;
-  c.explores = prof.count(trace::EventKind::kPolicyExplore);
-  c.width_updates = prof.count(trace::EventKind::kPolicyWidth);
   c.vetoes = vetoes;
   return c;
 }
@@ -280,6 +311,7 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
 struct ShapeResult {
   Shape shape;
   Cell race_static, race_adaptive;
+  Cell det_static, det_adaptive;
   Cell pl_static, pl_adaptive;
 };
 
@@ -317,6 +349,7 @@ int main(int argc, char** argv) {
   const double tie_wasted = cli.get_double("tie_wasted", 1.10);
   const double tie_p99 = cli.get_double("tie_p99", 1.25);
   const bool check = cli.has("check");
+  const bool check_wall = check && cli.get("check", "") != "det";
   const std::string json_path = cli.get("json", "");
 
   const std::size_t tables = alts;
@@ -324,14 +357,17 @@ int main(int argc, char** argv) {
   const std::size_t pl_burst = std::max<std::size_t>(1, burst / 2);
 
   std::cout << "Static vs adaptive speculation policy (core/spec_policy)\n"
-            << "race surface: " << alts << "-way kPool races x " << races
+            << "race surfaces: " << alts << "-way kPool races x " << races
             << ", winner " << work_us << " us, losers " << spins
             << " spins; prolog surface: " << tables << "-clause choice x "
             << queries << " queries\n";
 
   std::vector<ShapeResult> results;
   TablePrinter table({"shape", "surface", "st_wasted", "ad_wasted", "st_p99",
-                      "ad_p99", "explores", "vetoes"});
+                      "ad_p99", "st_losers", "ad_losers", "vetoes"});
+  auto count = [](std::uint64_t v) {
+    return TablePrinter::num(static_cast<std::int64_t>(v));
+  };
   for (Shape shape : {Shape::kUniform, Shape::kSkewed, Shape::kBursty}) {
     ShapeResult r;
     r.shape = shape;
@@ -339,6 +375,12 @@ int main(int argc, char** argv) {
                                   work_us, spins, burst, seed, reps);
     r.race_adaptive = run_race_cell(PolicyMode::kAdaptive, shape, races, alts,
                                     work_us, spins, burst, seed, reps);
+    r.det_static =
+        run_det_race_cell(PolicyMode::kStatic, shape, races * kDetRaceFactor,
+                          alts, work_us, spins, burst, seed);
+    r.det_adaptive =
+        run_det_race_cell(PolicyMode::kAdaptive, shape, races * kDetRaceFactor,
+                          alts, work_us, spins, burst, seed);
     r.pl_static = run_prolog_cell(PolicyMode::kStatic, shape, queries, tables,
                                   facts_per, pl_burst, seed);
     r.pl_adaptive = run_prolog_cell(PolicyMode::kAdaptive, shape, queries,
@@ -348,26 +390,25 @@ int main(int argc, char** argv) {
                    TablePrinter::num(r.race_static.wasted, 3),
                    TablePrinter::num(r.race_adaptive.wasted, 3),
                    TablePrinter::num(r.race_static.p99, 0),
-                   TablePrinter::num(r.race_adaptive.p99, 0),
-                   TablePrinter::num(
-                       static_cast<std::int64_t>(r.race_adaptive.explores)),
-                   "-"});
+                   TablePrinter::num(r.race_adaptive.p99, 0), "-", "-", "-"});
+    table.add_row({shape_name(shape), "race_det", "-", "-", "-", "-",
+                   count(r.det_static.losers_run),
+                   count(r.det_adaptive.losers_run), "-"});
     table.add_row({shape_name(shape), "prolog",
                    TablePrinter::num(r.pl_static.wasted, 3),
                    TablePrinter::num(r.pl_adaptive.wasted, 3),
                    TablePrinter::num(r.pl_static.p99, 0),
-                   TablePrinter::num(r.pl_adaptive.p99, 0),
-                   TablePrinter::num(
-                       static_cast<std::int64_t>(r.pl_adaptive.explores)),
-                   TablePrinter::num(
-                       static_cast<std::int64_t>(r.pl_adaptive.vetoes))});
+                   TablePrinter::num(r.pl_adaptive.p99, 0), "-", "-",
+                   count(r.pl_adaptive.vetoes)});
   }
   table.print(std::cout);
-  std::cout << "(race p99 in wall us; prolog p99 in inferences-to-answer — "
-               "deterministic. On `skewed` and `bursty` the adaptive columns "
-               "should be clearly lower: the policy learns the hot position "
-               "and runs it first, so losers are revoked unrun. On `uniform` "
-               "there is no signal and the modes tie.)\n";
+  std::cout << "(race p99 in wall us; race_det losers = loser bodies run "
+               "before the winner, deterministic; prolog p99 in "
+               "inferences-to-answer — deterministic. On `skewed` and "
+               "`bursty` the adaptive columns should be clearly lower: the "
+               "policy learns the hot position and runs it first, so losers "
+               "are revoked unrun. On `uniform` there is no signal and the "
+               "modes tie.)\n";
 
   bool pass = true;
   std::vector<CheckLine> lines;
@@ -379,6 +420,19 @@ int main(int argc, char** argv) {
     const double p99_slack_inf = static_cast<double>(facts_per);
     for (const ShapeResult& r : results) {
       const std::string n = shape_name(r.shape);
+      // Where there is a signal, the learned order must run no more losers
+      // than static. `uniform` has none: both orders run 1.5 losers a race
+      // in expectation, so it gets the wasted-work tie band instead.
+      lines.push_back(check_metric(
+          n + "/race_det losers", static_cast<double>(r.det_adaptive.losers_run),
+          static_cast<double>(r.det_static.losers_run),
+          r.shape == Shape::kUniform ? tie_wasted : 1.0, 0.0));
+      lines.push_back(check_metric(n + "/prolog wasted",
+                                   r.pl_adaptive.wasted, r.pl_static.wasted,
+                                   tie_wasted, wasted_slack));
+      lines.push_back(check_metric(n + "/prolog p99", r.pl_adaptive.p99,
+                                   r.pl_static.p99, tie_p99, p99_slack_inf));
+      if (!check_wall) continue;
       lines.push_back(check_metric(n + "/race wasted",
                                    r.race_adaptive.wasted,
                                    r.race_static.wasted, tie_wasted,
@@ -386,11 +440,6 @@ int main(int argc, char** argv) {
       lines.push_back(check_metric(n + "/race p99", r.race_adaptive.p99,
                                    r.race_static.p99, tie_p99,
                                    p99_slack_us));
-      lines.push_back(check_metric(n + "/prolog wasted",
-                                   r.pl_adaptive.wasted, r.pl_static.wasted,
-                                   tie_wasted, wasted_slack));
-      lines.push_back(check_metric(n + "/prolog p99", r.pl_adaptive.p99,
-                                   r.pl_static.p99, tie_p99, p99_slack_inf));
     }
     for (const CheckLine& l : lines) {
       pass = pass && l.ok;
@@ -398,6 +447,8 @@ int main(int argc, char** argv) {
                 << " <= " << l.bound << " (static " << l.standard
                 << "): " << (l.ok ? "PASS" : "FAIL") << "\n";
     }
+    if (!check_wall)
+      std::cout << "check: wall-clock race columns not gated (--check=det)\n";
   }
 
   if (!json_path.empty()) {
@@ -411,20 +462,21 @@ int main(int argc, char** argv) {
         std::string s = "{\"wasted\": " + std::to_string(c.wasted) +
                         ", \"p50\": " + std::to_string(c.p50) +
                         ", \"p99\": " + std::to_string(c.p99) +
-                        ", \"explores\": " + std::to_string(c.explores) +
-                        ", \"width_updates\": " +
-                        std::to_string(c.width_updates) +
+                        ", \"losers_run\": " + std::to_string(c.losers_run) +
                         ", \"vetoes\": " + std::to_string(c.vetoes) + "}";
         return s;
       };
       out << "    {\"shape\": \"" << shape_name(r.shape) << "\",\n"
           << "     \"race_static\": " << cell(r.race_static) << ",\n"
           << "     \"race_adaptive\": " << cell(r.race_adaptive) << ",\n"
+          << "     \"race_det_static\": " << cell(r.det_static) << ",\n"
+          << "     \"race_det_adaptive\": " << cell(r.det_adaptive) << ",\n"
           << "     \"prolog_static\": " << cell(r.pl_static) << ",\n"
           << "     \"prolog_adaptive\": " << cell(r.pl_adaptive) << "}"
           << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"check\": {\"enabled\": " << (check ? "true" : "false")
+        << ", \"wall_clock\": " << (check_wall ? "true" : "false")
         << ", \"tie_wasted\": " << tie_wasted << ", \"tie_p99\": " << tie_p99
         << ", \"pass\": " << (pass ? "true" : "false") << "}\n}\n";
     std::cout << "wrote " << json_path << "\n";

@@ -13,12 +13,15 @@
 // percentiles. With --check the binary exits non-zero unless (a) races/sec
 // at 64 concurrent races (or the highest level swept) is at least
 // `factor`× the best level's — throughput does not collapse as races
-// outnumber cores — and (b) a traced run shows revoked siblings with
-// *zero* copied pages (the pruning guarantee, via SpecProfile).
+// outnumber cores — (b) a traced run shows revoked siblings with *zero*
+// copied pages (the pruning guarantee, via SpecProfile), and (c) on the
+// deterministic pool, the winner revokes every slow sibling before it
+// starts, in every race (the revocation gate). --check=det gates (c)
+// alone: (a) and (b) read the wall clock.
 //
 //   $ sched_throughput [--minconc=1] [--maxconc=256] [--races=1024]
-//                      [--alts=3] [--work_us=20] [--factor=0.5] [--check]
-//                      [--json=BENCH_sched_throughput.json]
+//                      [--alts=3] [--work_us=20] [--factor=0.5]
+//                      [--check[=det]] [--json=BENCH_sched_throughput.json]
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -149,6 +152,58 @@ RevokeCheck traced_pool_run(std::size_t races, std::size_t alts,
   return RevokeCheck{prof.worlds_revoked(), prof.revoked_pages()};
 }
 
+// The revocation gate: per race, the siblings revoked before they start,
+// on the deterministic pool. Its driver runs one task at a time and checks
+// the race right after each, and a parent whose race is decided sweeps the
+// queue itself — so on a plain race the count would not depend on the
+// winner's own revocation at all. Each race here carries one more
+// alternative: a helper of top priority whose body waits on a nested race
+// of one lowest-priority alternative, as a pool worker helps while it waits
+// on its own race. The driver starts the helper, and the helper's helping
+// wait runs the fast winner next. Unless the winner revokes the slow
+// siblings at its sync, that same wait runs them before its own
+// alternative, long before the race's parent gets to sweep.
+struct DetRevokeCheck {
+  std::size_t races = 0;
+  std::size_t min_revoked = 0;  // per race, over every race
+  std::size_t max_revoked = 0;
+};
+
+DetRevokeCheck deterministic_revoke_run(std::size_t races, std::size_t alts,
+                                        VDuration work_us) {
+  RuntimeConfig cfg;
+  cfg.backend = AltBackend::kPool;
+  cfg.page_size = 256;
+  cfg.num_pages = 16;
+  cfg.pool.deterministic_seed = 1;
+  cfg.pool.deterministic_steal_prob = 0.0;
+  Runtime rt(cfg);
+  std::vector<Alternative> race = make_race(alts, work_us);
+  race.push_back(Alternative{
+      "helper", nullptr,
+      [&rt, work_us](AltContext& ctx) {
+        const std::vector<Alternative> inner{Alternative{
+            "inner", nullptr,
+            [work_us](AltContext& c) { c.compute(work_us); }, nullptr,
+            /*priority=*/-1.0}};
+        (void)run_alternatives(rt, ctx.world(), inner);
+        ctx.fail("helped only");
+      },
+      nullptr, /*priority=*/2.0});
+  World parent = rt.make_root("det");
+  DetRevokeCheck c;
+  c.races = races;
+  for (std::size_t r = 0; r < races; ++r) {
+    const AltOutcome out = run_alternatives(rt, parent, race, {});
+    std::size_t revoked = 0;
+    for (const AltReport& a : out.alts)
+      if (a.revoked) ++revoked;
+    c.min_revoked = r == 0 ? revoked : std::min(c.min_revoked, revoked);
+    c.max_revoked = std::max(c.max_revoked, revoked);
+  }
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,6 +217,7 @@ int main(int argc, char** argv) {
   const VDuration work_us = cli.get_int("work_us", 20);
   const double factor = cli.get_double("factor", 0.5);
   const bool check = cli.has("check");
+  const bool check_wall = check && cli.get("check", "") != "det";
   const std::string json_path = cli.get("json", "");
 
   std::cout << "Concurrent-race throughput: kPool (work-stealing tasks)\n"
@@ -189,6 +245,11 @@ int main(int argc, char** argv) {
   std::cout << "\ntraced pool run: " << rc.revoked
             << " siblings revoked before running, " << rc.revoked_pages
             << " pages copied by revoked siblings\n";
+  const DetRevokeCheck dc = deterministic_revoke_run(/*races=*/64, alts,
+                                                     work_us);
+  std::cout << "deterministic pool: " << dc.races
+            << " races, siblings revoked before they start per race: min "
+            << dc.min_revoked << ", max " << dc.max_revoked << "\n";
 
   // The check level: 64 concurrent races if swept, else the highest level.
   double ratio = 0.0;
@@ -200,15 +261,25 @@ int main(int argc, char** argv) {
   }
   bool pass = true;
   if (check) {
-    const bool hold_ok = ratio >= factor;
-    const bool revoke_ok = rc.revoked > 0 && rc.revoked_pages == 0;
-    pass = hold_ok && revoke_ok;
-    std::cout << "check: races/sec at conc=" << check_conc << " is " << ratio
-              << " of the best level (need >= " << factor << "): "
-              << (hold_ok ? "PASS" : "FAIL") << "\n"
-              << "check: revoked siblings " << rc.revoked
-              << " > 0 with 0 copied pages (got " << rc.revoked_pages
-              << "): " << (revoke_ok ? "PASS" : "FAIL") << "\n";
+    // Every slow sibling (all but the fast winner) revoked in every race.
+    const bool det_ok = dc.min_revoked >= alts - 1;
+    pass = det_ok;
+    std::cout << "check: deterministic pool revokes >= " << alts - 1
+              << " siblings in every race (min " << dc.min_revoked
+              << "): " << (det_ok ? "PASS" : "FAIL") << "\n";
+    if (check_wall) {
+      const bool hold_ok = ratio >= factor;
+      const bool revoke_ok = rc.revoked > 0 && rc.revoked_pages == 0;
+      pass = pass && hold_ok && revoke_ok;
+      std::cout << "check: races/sec at conc=" << check_conc << " is "
+                << ratio << " of the best level (need >= " << factor
+                << "): " << (hold_ok ? "PASS" : "FAIL") << "\n"
+                << "check: revoked siblings " << rc.revoked
+                << " > 0 with 0 copied pages (got " << rc.revoked_pages
+                << "): " << (revoke_ok ? "PASS" : "FAIL") << "\n";
+    } else {
+      std::cout << "check: wall-clock checks not gated (--check=det)\n";
+    }
   }
 
   if (!json_path.empty()) {
@@ -228,6 +299,8 @@ int main(int argc, char** argv) {
         << ", \"factor\": " << factor
         << ", \"revoked\": " << rc.revoked
         << ", \"revoked_pages\": " << rc.revoked_pages
+        << ", \"det_min_revoked\": " << dc.min_revoked
+        << ", \"wall_clock\": " << (check_wall ? "true" : "false")
         << ", \"pass\": " << (pass ? "true" : "false") << "}\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }

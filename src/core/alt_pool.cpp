@@ -241,12 +241,12 @@ AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
   };
 
   // Effective priorities: in kAdaptive mode the policy engine reorders the
-  // race by learned per-position win rate (with an epsilon-explore floor),
-  // boosting its predicted winner to the hot end of the deque; the
-  // last-ranked position is the "deferred" alternative — still submitted,
-  // but the likeliest to be revoked unrun when the winner prunes. Keyed by
-  // input position, matching observe_race's AltReport.index accounting.
-  // kStatic mode passes the base priorities through unchanged.
+  // race by learned per-position win rate, moving its predicted winner to
+  // the hot end of the deque; the last-ranked position is the "deferred"
+  // alternative — still submitted, but the likeliest to be revoked unrun
+  // when the winner prunes. Keyed by input position, matching
+  // observe_race's AltReport.index accounting. kStatic mode passes the base
+  // priorities through unchanged.
   std::vector<double> base_priority(n);
   for (std::size_t i = 0; i < n; ++i) base_priority[i] = alts[i].priority;
   const PolicyPlan plan = rt.policy().plan_race(group, base_priority);

@@ -46,14 +46,13 @@ struct RuntimeConfig {
   /// deterministic mode. Ignored by the other backends.
   SchedConfig pool;
 
-  /// Adaptive speculation policy (core/spec_policy.hpp). The default mode,
-  /// kAuto, resolves per engine: kAdaptive on the wall-clock kPool
+  /// Speculation policy (core/spec_policy.hpp). The default mode, kAuto,
+  /// resolves per engine: kAdaptive on the wall-clock kPool
   /// (pool.deterministic_seed 0), where learned per-position win rates
   /// order each race, and kStatic on kVirtual and deterministic kPool,
   /// which stay bit-for-bit replayable. kAdaptive closes the loop from race
-  /// outcomes into admission width, alternative ordering, and or-parallel
-  /// split selection. An explicit mode is kept. policy.seed 0 derives from
-  /// `seed`.
+  /// outcomes into alternative ordering and the or-parallel split veto. An
+  /// explicit mode is kept.
   PolicyConfig policy;
 };
 
@@ -146,9 +145,7 @@ class Runtime {
   /// pool block never spawns a worker thread.
   SpecScheduler& scheduler() {
     std::call_once(sched_once_, [this] {
-      SchedConfig sc = config_.pool;
-      sc.policy = &policy_;  // admission consults the runtime's engine
-      sched_ = std::make_unique<SpecScheduler>(sc);
+      sched_ = std::make_unique<SpecScheduler>(config_.pool);
     });
     return *sched_;
   }
@@ -162,7 +159,6 @@ class Runtime {
  private:
   static PolicyConfig resolve_policy(const RuntimeConfig& config) {
     PolicyConfig pc = config.policy;
-    if (pc.seed == 0) pc.seed = config.seed ^ 0xa02bdbf7bb3c0a7ull;
     if (pc.mode == PolicyMode::kAuto) {
       const bool wall_clock_pool = config.backend == AltBackend::kPool &&
                                    config.pool.deterministic_seed == 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/spec_policy.hpp"
 #include "fault/fault.hpp"
 #include "pagestore/page.hpp"
 #include "pagestore/shard.hpp"
@@ -356,15 +355,7 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
     ++stats_.admission_rejected;
     return false;
   }
-  // One policy decision per admission attempt: in kAdaptive mode the
-  // engine may narrow the world budget, but never below what this race
-  // needs — any race the static budget admits stays admissible.
-  std::size_t budget = cfg_.max_live_worlds;
-  if (budget != 0 && cfg_.policy != nullptr &&
-      cfg_.policy->mode() == PolicyMode::kAdaptive) {
-    std::size_t width = cfg_.policy->admission_width(budget, group);
-    budget = std::min(budget, std::max(width, worlds));
-  }
+  const std::size_t budget = cfg_.max_live_worlds;
   auto fits = [&] {
     if (budget != 0 && live_worlds_ + worlds > budget) {
       return false;
@@ -381,11 +372,9 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
   const bool forced_defer = fa.kind == FaultKind::kDelay;
   if (fits() && !forced_defer) {
     live_worlds_ += worlds;
-    if (cfg_.policy != nullptr) cfg_.policy->observe_admission(false);
     return true;
   }
 
-  if (cfg_.policy != nullptr) cfg_.policy->observe_admission(true);
   MW_TRACE_EVENT(trace::EventKind::kSchedAdmitDefer, requester, kNoPid,
                  group, live_worlds_);
   {

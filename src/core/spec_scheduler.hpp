@@ -58,8 +58,6 @@
 
 namespace mw {
 
-class SpecPolicy;
-
 /// Reported as the taking worker id (trace payload b of kSchedSteal) when a
 /// task is taken from the shared inbox by an external helper thread.
 inline constexpr std::uint64_t kSchedExternalHelper = ~0ull;
@@ -95,13 +93,6 @@ struct SchedConfig {
   /// Deterministic mode only: probability that a scheduling step acts as a
   /// thief (FIFO steal) rather than as the deque's owner (priority/LIFO).
   double deterministic_steal_prob = 0.5;
-
-  /// Optional adaptive policy consulted at admission time (see
-  /// core/spec_policy.hpp): in kAdaptive mode it narrows the effective
-  /// max_live_worlds budget, never below what the requesting race needs.
-  /// Not owned — the Runtime wires its own engine in. Null or kStatic
-  /// mode: the static budget applies unchanged.
-  SpecPolicy* policy = nullptr;
 };
 
 /// One schedulable unit: an alternative body (or a supervised attempt)

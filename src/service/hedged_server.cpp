@@ -17,16 +17,7 @@ RuntimeConfig local_runtime_config(const ServiceConfig& c) {
   rc.num_pages = c.num_pages;
   rc.seed = c.seed;
   rc.pool = c.pool;
-  rc.policy = c.policy;  // local races inherit the policy mode
   return rc;
-}
-
-// kAuto stays kStatic for hedge timing (SpecPolicy resolves it), while the
-// local runtime resolves it per engine.
-PolicyConfig hedge_policy_config(const ServiceConfig& c) {
-  PolicyConfig pc = c.policy;
-  if (pc.seed == 0) pc.seed = c.seed ^ 0x68656467706f6cull;  // "hedgpol"
-  return pc;
 }
 
 }  // namespace
@@ -39,8 +30,7 @@ HedgedServer::HedgedServer(Transport& transport, NodeId self,
       config_(config),
       health_(config.health),
       rng_(config.seed ^ 0x73766373727672ull),  // "svcsrvr"
-      runtime_(local_runtime_config(config)),
-      policy_(hedge_policy_config(config)) {
+      runtime_(local_runtime_config(config)) {
   transport_.bind(self_, *this);
   health_timer_ = transport_.schedule(config_.health.heartbeat_interval,
                                       [this] { health_tick(); });
@@ -136,11 +126,9 @@ void HedgedServer::handle_request(const SvcRequest& r) {
   p.seq = r.seq;
   p.work = r.work;
   p.payload = r.payload;
-  p.arrived = now;
   p.deadline_abs =
       now + (r.deadline > 0 ? r.deadline : config_.default_deadline);
   pendings_.emplace(ticket, std::move(p));
-  policy_.observe_admission(must_queue);
 
   if (must_queue) {
     queue_.push_back(ticket);
@@ -171,7 +159,7 @@ void HedgedServer::dispatch(std::uint64_t ticket) {
   if (backend != 0 && dispatch_remote(p, backend)) {
     if (!brownout_ && config_.hedge_budget > 0)
       p.hedge_timer = transport_.schedule(
-          next_hedge_delay(ticket),
+          config_.hedge_delay,
           [this, ticket] { on_hedge_timer(ticket); });
     return;
   }
@@ -258,12 +246,8 @@ void HedgedServer::on_hedge_timer(std::uint64_t ticket) {
                  backend, transport_.now());
   if (p.hedges_used < config_.hedge_budget)
     p.hedge_timer = transport_.schedule(
-        next_hedge_delay(ticket),
+        config_.hedge_delay,
         [this, ticket] { on_hedge_timer(ticket); });
-}
-
-VDuration HedgedServer::next_hedge_delay(std::uint64_t ticket) {
-  return policy_.hedge_delay(config_.hedge_delay, ticket);
 }
 
 void HedgedServer::handle_exec_done(NodeId from, const SvcExecDone& d) {
@@ -350,10 +334,6 @@ void HedgedServer::finish(std::uint64_t ticket, SvcStatus status,
   sessions_.commit(p.client, p.seq, status, value, effects_);
   if (status == SvcStatus::kOk) {
     ++stats_.ok;
-    // Feed the hedge-timing reservoir: admission-to-commit latency of
-    // completed requests is the distribution whose p95 adaptive hedging
-    // waits out. Failures are censored at the deadline and excluded.
-    policy_.observe_latency(transport_.now() - p.arrived);
     MW_TRACE_EVENT(trace::EventKind::kSvcResponse, kNoPid, kNoPid, p.client,
                    p.seq, transport_.now());
   } else {

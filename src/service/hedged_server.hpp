@@ -87,15 +87,6 @@ struct ServiceConfig {
   SchedConfig pool{.workers = 2};
   std::size_t page_size = 256;  // world geometry for the local races
   std::size_t num_pages = 16;
-
-  // Adaptive speculation policy (core/spec_policy.hpp). kAdaptive hedges
-  // after the observed p95 of completed-request latency instead of the
-  // fixed hedge_delay (falling back to hedge_delay while the reservoir is
-  // cold), and the local kPool races inherit the same mode. The default,
-  // kAuto, hedges statically and leaves the local races to the runtime's
-  // per-engine choice (kAdaptive on a wall-clock pool). policy.seed 0
-  // derives from `seed`.
-  PolicyConfig policy;
 };
 
 struct ServiceStats {
@@ -161,8 +152,6 @@ class HedgedServer : public TransportReceiver {
   const SessionTable& sessions() const { return sessions_; }
   SessionTable& sessions() { return sessions_; }
   Runtime& runtime() { return runtime_; }
-  /// The hedge-timing policy engine (fed by every OK response's latency).
-  SpecPolicy& policy() { return policy_; }
 
  private:
   struct Pending {
@@ -171,7 +160,6 @@ class HedgedServer : public TransportReceiver {
     std::uint64_t seq = 0;
     std::uint64_t work = 0;
     std::uint64_t payload = 0;
-    VTime arrived = 0;  // admission time: the latency reservoir's epoch
     VTime deadline_abs = 0;
     bool dispatched = false;          // false while still queued
     bool local = false;               // finishing on the local race
@@ -210,10 +198,6 @@ class HedgedServer : public TransportReceiver {
   /// 0 = none (backend node ids must be nonzero).
   NodeId pick_backend(const std::vector<NodeId>& exclude, bool hedge);
   VDuration draw_service_delay();
-  /// The delay before the next hedge attempt: config_.hedge_delay in
-  /// kStatic mode (or while the latency reservoir is cold), the observed
-  /// p95 once the policy engine is warm.
-  VDuration next_hedge_delay(std::uint64_t ticket);
 
   Transport& transport_;
   NodeId self_;
@@ -223,7 +207,6 @@ class HedgedServer : public TransportReceiver {
   PeerHealth health_;
   Rng rng_;
   Runtime runtime_;
-  SpecPolicy policy_;
 
   std::vector<NodeId> backends_;
   std::set<NodeId> backend_set_;

@@ -155,21 +155,15 @@ namespace mw::trace {
   X(kSvcClusterMisroute, 140, "svc_cluster_misroute")                         \
       /* a=client, b=owner per the local ring — a request this node           \
          refused because it does not own the session */                       \
-  /* Adaptive speculation policy (src/core/spec_policy.hpp). Emitted only     \
-     in kAdaptive mode, so static-mode traces stay bit-for-bit unchanged. */  \
-  X(kPolicyWidth, 141, "policy_width")                                        \
-      /* a=effective admission width (worlds), b=budget — emitted when the    \
-         width controller moves */                                            \
+  /* Speculation policy (src/core/spec_policy.hpp). Emitted only in           \
+     kAdaptive mode, so static-mode traces stay bit-for-bit unchanged.        \
+     Values 141, 144 and 145 are retired (policy_width, policy_explore,       \
+     policy_hedge) and must not be reused: old traces still carry them. */    \
   X(kPolicyOrder, 142, "policy_order")                                        \
       /* a=group, b=top-ranked position (0-based) */                          \
   X(kPolicyDefer, 143, "policy_defer")                                        \
       /* a=group, b=last-ranked ("deferred") position; for a vetoed           \
-         or-parallel split, b=fanout refused */                               \
-  X(kPolicyExplore, 144, "policy_explore")                                    \
-      /* a=group, b=explored position (floor or epsilon) */                   \
-  X(kPolicyHedge, 145, "policy_hedge")                                        \
-      /* a=ticket, b=p95-derived hedge delay (ticks) — the cold-start         \
-         static fallback emits nothing */
+         or-parallel split, b=fanout refused */
 
 /// Everything the runtime reports (generated from MW_TRACE_KINDS).
 enum class EventKind : std::uint16_t {

@@ -1,20 +1,16 @@
-// Property tests for the adaptive speculation policy engine
-// (core/spec_policy.hpp), swept over MW_FAULT_SEED_BASE / MW_FAULT_SEED_COUNT
-// like the fault matrices. The properties under test are the engine's
-// contract, not any particular tuning:
+// Property tests for the speculation policy engine (core/spec_policy.hpp),
+// swept over MW_FAULT_SEED_BASE / MW_FAULT_SEED_COUNT like the fault
+// matrices. The properties under test are the engine's contract, not any
+// particular tuning:
 //
 //   * kStatic is bit-for-bit pass-through: every decision returns its static
-//     input, no step advances, no trace events — a kStatic pool run replays
-//     exactly, per seed;
-//   * decisions are pure in (config, snapshot, seed, step): identical inputs
-//     give identical outputs across repeated calls, fresh engines, and
-//     concurrent callers (thread count must not matter);
-//   * the epsilon-explore floor guarantees every tracked position takes the
-//     top slot at least once per window;
-//   * decide_width never leaves [min(min_width, budget), budget], and a
-//     shrunken width never rejects a race the static budget admits;
-//   * latency-reservoir cold start: before min_latency_samples the adaptive
-//     hedge delay falls back to the static delay — never to 0.
+//     input, no state advances, no trace events — a kStatic pool run
+//     replays exactly, per seed;
+//   * decisions are pure in (config, snapshot[, split step]): identical
+//     inputs give identical outputs across repeated calls, fresh engines,
+//     and concurrent callers (thread count must not matter);
+//   * a settled race_prune history ranks the hint first and the wrong-hint
+//     winner second, on every plan of a live engine.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -50,7 +46,6 @@ AltOutcome fake_race(std::size_t k, std::size_t winner) {
     out.alts[i].spawned = true;
     out.alts[i].ran = true;
     out.alts[i].success = i == winner;
-    if (i != winner) out.alts[i].pages_copied = 1;
   }
   return out;
 }
@@ -62,17 +57,11 @@ PolicySnapshot random_snapshot(Rng& rng) {
   s.races = rng.next_below(100);
   s.work_total = static_cast<double>(rng.next_below(1000));
   s.work_wasted = s.work_total * rng.next_double();
-  s.admissions = rng.next_below(100);
-  s.admission_deferrals = rng.next_below(100);
   s.alts.resize(1 + rng.next_below(6));
   for (PolicyAltStat& a : s.alts) {
     a.spawned = rng.next_below(50);
     a.wins = a.spawned == 0 ? 0 : rng.next_below(a.spawned + 1);
-    a.last_boost_step = rng.next_below(20);
   }
-  s.latency_samples = rng.next_below(32);
-  s.latency_p50 = static_cast<VDuration>(rng.next_below(1000));
-  s.latency_p95 = s.latency_p50 + static_cast<VDuration>(rng.next_below(1000));
   return s;
 }
 
@@ -84,20 +73,14 @@ TEST(SpecPolicy, StaticDecisionsArePureStaticPassThrough) {
     cfg.mode = PolicyMode::kStatic;
     for (int trial = 0; trial < 20; ++trial) {
       const PolicySnapshot s = random_snapshot(rng);
-      const std::size_t budget = rng.next_below(16);
-      EXPECT_EQ(SpecPolicy::decide_width(cfg, s, budget), budget);
       std::vector<double> bases(1 + rng.next_below(5));
       for (double& b : bases) b = rng.next_double();
-      const PolicyPlan plan =
-          SpecPolicy::decide_plan(cfg, s, seed, trial, bases);
+      const PolicyPlan plan = SpecPolicy::decide_plan(cfg, s, bases);
       EXPECT_EQ(plan.priority, bases);
-      EXPECT_FALSE(plan.explored);
       ASSERT_EQ(plan.order.size(), bases.size());
       for (std::size_t i = 0; i < plan.order.size(); ++i) {
         EXPECT_EQ(plan.order[i], i) << "static order must be identity";
       }
-      const VDuration delay = 1 + static_cast<VDuration>(rng.next_below(500));
-      EXPECT_EQ(SpecPolicy::decide_hedge_delay(cfg, s, delay), delay);
       EXPECT_TRUE(SpecPolicy::decide_split(cfg, s, trial, 4));
     }
   }
@@ -106,16 +89,11 @@ TEST(SpecPolicy, StaticDecisionsArePureStaticPassThrough) {
 TEST(SpecPolicy, StaticWrappersNeverAdvanceStateOrStats) {
   SpecPolicy policy{PolicyConfig{}};  // a bare engine resolves kAuto to kStatic
   policy.observe_race(fake_race(4, 1));
-  (void)policy.admission_width(8);
   const PolicyPlan plan = policy.plan_race(7, {0.5, 0.25});
   EXPECT_EQ(plan.priority, (std::vector<double>{0.5, 0.25}));
-  (void)policy.hedge_delay(vt_ms(2));
   EXPECT_TRUE(policy.allow_split(0, 4));
   const PolicyStats st = policy.stats();
   EXPECT_EQ(st.plans, 0u);
-  EXPECT_EQ(st.explores, 0u);
-  EXPECT_EQ(st.width_decisions, 0u);
-  EXPECT_EQ(st.hedge_decisions, 0u);
   EXPECT_EQ(st.splits_vetoed, 0u);
 }
 
@@ -169,8 +147,8 @@ TEST(SpecPolicy, StaticPoolRunReplaysBitForBitPerSeed) {
 }
 
 TEST(SpecPolicy, AdaptivePoolRunReplaysBitForBitPerSeed) {
-  // Adaptive decisions must be as replayable as static ones: the policy's
-  // rng is keyed (seed, step), never the wall clock or the callers' state.
+  // Adaptive decisions must be as replayable as static ones: they read
+  // only the observed history, never the wall clock or the callers' state.
   const std::uint64_t base = sweep_base();
   for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
     const std::string a = pool_fingerprint(seed, PolicyMode::kAdaptive);
@@ -179,7 +157,7 @@ TEST(SpecPolicy, AdaptivePoolRunReplaysBitForBitPerSeed) {
   }
 }
 
-TEST(SpecPolicy, IdenticalSnapshotAndSeedGiveIdenticalDecisions) {
+TEST(SpecPolicy, IdenticalHistoryGivesIdenticalPlanAndSplitDecisions) {
   const std::uint64_t base = sweep_base();
   for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
     Rng rng(seed);
@@ -188,24 +166,21 @@ TEST(SpecPolicy, IdenticalSnapshotAndSeedGiveIdenticalDecisions) {
     const PolicySnapshot s = random_snapshot(rng);
     const std::vector<double> bases{0.0, 0.5, 0.25, 0.75};
     const std::uint64_t step = 1 + rng.next_below(100);
-    const PolicyPlan ref = SpecPolicy::decide_plan(cfg, s, seed, step, bases);
-    const std::size_t ref_width = SpecPolicy::decide_width(cfg, s, 8);
-    const VDuration ref_delay = SpecPolicy::decide_hedge_delay(cfg, s, 100);
+    const PolicyPlan ref = SpecPolicy::decide_plan(cfg, s, bases);
+    const bool ref_split = SpecPolicy::decide_split(cfg, s, step, 4);
 
     // Concurrent callers: the decision functions are pure, so the thread
     // count must not matter. Any divergence is a determinism bug.
     constexpr int kThreads = 8;
     std::vector<PolicyPlan> plans(kThreads);
-    std::vector<std::size_t> widths(kThreads);
-    std::vector<VDuration> delays(kThreads);
+    std::vector<char> splits(kThreads);
     {
       std::vector<std::thread> threads;
       threads.reserve(kThreads);
       for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-          plans[t] = SpecPolicy::decide_plan(cfg, s, seed, step, bases);
-          widths[t] = SpecPolicy::decide_width(cfg, s, 8);
-          delays[t] = SpecPolicy::decide_hedge_delay(cfg, s, 100);
+          plans[t] = SpecPolicy::decide_plan(cfg, s, bases);
+          splits[t] = SpecPolicy::decide_split(cfg, s, step, 4);
         });
       }
       for (std::thread& th : threads) th.join();
@@ -215,9 +190,7 @@ TEST(SpecPolicy, IdenticalSnapshotAndSeedGiveIdenticalDecisions) {
       EXPECT_EQ(plans[t].order, ref.order) << "seed=" << seed;
       EXPECT_EQ(plans[t].top, ref.top) << "seed=" << seed;
       EXPECT_EQ(plans[t].deferred, ref.deferred) << "seed=" << seed;
-      EXPECT_EQ(plans[t].explored, ref.explored) << "seed=" << seed;
-      EXPECT_EQ(widths[t], ref_width) << "seed=" << seed;
-      EXPECT_EQ(delays[t], ref_delay) << "seed=" << seed;
+      EXPECT_EQ(splits[t] != 0, ref_split) << "seed=" << seed;
     }
   }
 }
@@ -227,7 +200,6 @@ TEST(SpecPolicy, TwoEnginesFedTheSameHistoryPlanIdentically) {
   for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
     PolicyConfig cfg;
     cfg.mode = PolicyMode::kAdaptive;
-    cfg.seed = seed;
     SpecPolicy a(cfg);
     SpecPolicy b(cfg);
     Rng script(seed);
@@ -236,146 +208,9 @@ TEST(SpecPolicy, TwoEnginesFedTheSameHistoryPlanIdentically) {
       const PolicyPlan pa = a.plan_race(0, bases);
       const PolicyPlan pb = b.plan_race(0, bases);
       ASSERT_EQ(pa.order, pb.order) << "seed=" << seed << " race=" << r;
-      ASSERT_EQ(pa.explored, pb.explored) << "seed=" << seed << " race=" << r;
       const AltOutcome out = fake_race(3, script.next_below(3));
       a.observe_race(out);
       b.observe_race(out);
-    }
-  }
-}
-
-TEST(SpecPolicy, ExploreFloorBoostsEveryPositionOncePerWindow) {
-  const std::uint64_t base = sweep_base();
-  constexpr std::size_t kAlts = 4;
-  for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
-    PolicyConfig cfg;
-    cfg.mode = PolicyMode::kAdaptive;
-    cfg.seed = seed;
-    cfg.epsilon = 0.0;  // isolate the floor from the epsilon draw
-    cfg.explore_window = 8;
-    SpecPolicy policy(cfg);
-    // Position 0 wins every race: without the floor the plan would boost
-    // position 0 forever and starve the rest.
-    policy.observe_race(fake_race(kAlts, 0));
-    const std::vector<double> bases(kAlts, 0.0);
-    std::vector<std::uint64_t> last_top(kAlts, 0);
-    constexpr std::uint64_t kPlans = 200;
-    // Eligibility begins explore_window steps after the last boost; with
-    // k-1 starved competitors a position then waits at most k-1 more plans
-    // for its turn as the stalest.
-    const std::uint64_t bound = cfg.explore_window + kAlts;
-    for (std::uint64_t p = 1; p <= kPlans; ++p) {
-      const PolicyPlan plan = policy.plan_race(0, bases);
-      ASSERT_LT(plan.top, kAlts);
-      last_top[plan.top] = p;
-      for (std::size_t i = 0; i < kAlts; ++i) {
-        EXPECT_LE(p - last_top[i], bound)
-            << "seed=" << seed << ": position " << i << " starved at plan "
-            << p;
-      }
-      policy.observe_race(fake_race(kAlts, 0));
-    }
-    for (std::size_t i = 0; i < kAlts; ++i) {
-      EXPECT_GT(last_top[i], 0u)
-          << "seed=" << seed << ": position " << i << " never explored";
-    }
-  }
-}
-
-TEST(SpecPolicy, WidthStaysWithinBudgetBoundsOnAnySnapshot) {
-  const std::uint64_t base = sweep_base();
-  for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
-    Rng rng(seed);
-    PolicyConfig cfg;
-    cfg.mode = PolicyMode::kAdaptive;
-    for (int trial = 0; trial < 50; ++trial) {
-      const PolicySnapshot s = random_snapshot(rng);
-      for (std::size_t budget : {std::size_t{0}, std::size_t{1},
-                                 std::size_t{2}, std::size_t{5},
-                                 std::size_t{8}, std::size_t{16}}) {
-        const std::size_t w = SpecPolicy::decide_width(cfg, s, budget);
-        EXPECT_LE(w, budget);
-        EXPECT_GE(w, std::min(cfg.min_width, budget));
-      }
-    }
-  }
-}
-
-TEST(SpecPolicy, AdaptiveWidthNeverRejectsARaceTheStaticBudgetAdmits) {
-  // High wasted-work history shrinks the width, but the scheduler clamps
-  // the effective budget to what the race needs: a 4-world race on a
-  // max_live_worlds=4 pool must still admit with the controller at its
-  // floor, and the live-world count must never exceed the static budget.
-  RuntimeConfig cfg;
-  cfg.backend = AltBackend::kPool;
-  cfg.page_size = 256;
-  cfg.num_pages = 16;
-  cfg.seed = 11;
-  cfg.pool.deterministic_seed = 11;
-  cfg.pool.workers = 2;
-  cfg.pool.max_live_worlds = 4;
-  cfg.policy.mode = PolicyMode::kAdaptive;
-  cfg.policy.min_races = 1;  // the controller reacts from the first race
-  Runtime rt(cfg);
-  World root = rt.make_root("clamp");
-  for (int r = 0; r < 24; ++r) {
-    std::vector<Alternative> race;
-    for (int i = 0; i < 4; ++i) {
-      const bool win = i == 0;
-      race.push_back({win ? "w" : "l", nullptr,
-                      [win](AltContext& ctx) {
-                        ctx.work(100);  // losers burn work: waste stays high
-                        if (!win) ctx.fail("scripted");
-                        ctx.space().store<int>(0, 1);
-                      },
-                      nullptr, 0.0});
-    }
-    const AltOutcome out = run_alternatives(rt, root, race, {});
-    EXPECT_FALSE(out.failed) << "race " << r << " rejected or failed";
-    EXPECT_LE(rt.scheduler().live_worlds(), cfg.pool.max_live_worlds);
-  }
-  EXPECT_EQ(rt.scheduler().stats().admission_rejected, 0u);
-}
-
-TEST(SpecPolicy, HedgeDelayFallsBackToStaticWhileReservoirIsCold) {
-  PolicyConfig cfg;
-  cfg.mode = PolicyMode::kAdaptive;
-  cfg.min_latency_samples = 8;
-  cfg.hedge_floor = 1;
-  SpecPolicy policy(cfg);
-  const VDuration static_delay = vt_ms(2);
-  // No samples at all: static fallback, never 0.
-  EXPECT_EQ(policy.hedge_delay(static_delay), static_delay);
-  // Short of the minimum: still the static fallback, even though the
-  // reservoir already holds (degenerate, tiny) percentiles.
-  for (int i = 0; i < 7; ++i) policy.observe_latency(10);
-  EXPECT_EQ(policy.hedge_delay(static_delay), static_delay);
-  EXPECT_EQ(policy.stats().hedge_fallbacks, 2u);
-  // Warm: the adaptive delay is the observed p95 (here 10), not the static
-  // delay and definitely not 0.
-  policy.observe_latency(10);
-  const VDuration warm = policy.hedge_delay(static_delay);
-  EXPECT_EQ(warm, 10);
-  EXPECT_GT(warm, 0);
-  EXPECT_EQ(policy.stats().hedge_fallbacks, 2u);  // no new fallback
-}
-
-TEST(SpecPolicy, ColdStartSnapshotNeverYieldsZeroHedgeDelay) {
-  const std::uint64_t base = sweep_base();
-  for (std::uint64_t seed = base; seed < base + sweep_count(); ++seed) {
-    Rng rng(seed);
-    PolicyConfig cfg;
-    cfg.mode = PolicyMode::kAdaptive;
-    for (int trial = 0; trial < 50; ++trial) {
-      PolicySnapshot s = random_snapshot(rng);
-      const VDuration static_delay =
-          1 + static_cast<VDuration>(rng.next_below(1000));
-      if (trial % 2 == 0) s.latency_samples = rng.next_below(8);  // cold
-      const VDuration d = SpecPolicy::decide_hedge_delay(cfg, s, static_delay);
-      EXPECT_GT(d, 0) << "seed=" << seed;
-      if (s.latency_samples < cfg.min_latency_samples) {
-        EXPECT_EQ(d, static_delay) << "seed=" << seed;
-      }
     }
   }
 }
@@ -388,19 +223,50 @@ TEST(SpecPolicy, SettledHintedRaceRanksTheWrongHintWinnerSecond) {
   // right after the hint and the second worker starts it at once.
   PolicyConfig cfg;
   cfg.mode = PolicyMode::kAdaptive;
-  cfg.epsilon = 0.0;
-  constexpr std::uint64_t kStep = 100;
   PolicySnapshot s;
   for (const std::uint64_t wins : {3u, 3u, 4u, 6u})
-    s.alts.push_back({.spawned = 16, .wins = wins, .last_boost_step = kStep});
+    s.alts.push_back({.spawned = 16, .wins = wins});
   for (std::size_t hint = 0; hint < 4; ++hint) {
     std::vector<double> base(4, 0.0);
     base[hint] = 1.0;
-    const PolicyPlan plan = SpecPolicy::decide_plan(cfg, s, 1, kStep, base);
-    EXPECT_FALSE(plan.explored) << "hint " << hint;
+    const PolicyPlan plan = SpecPolicy::decide_plan(cfg, s, base);
     ASSERT_EQ(plan.order.size(), 4u);
     EXPECT_EQ(plan.order[0], hint);
     EXPECT_EQ(plan.order[1], hint == 3 ? 2u : 3u) << "hint " << hint;
+  }
+}
+
+TEST(SpecPolicy, LiveEngineRanksHintThenWrongHintWinnerOnEveryPlan) {
+  // The same ranking on a live engine, planned and fed one race at a time.
+  // Each 16-race cycle has race_prune's exact proportions: every position
+  // is hinted 4 times in a row and the hint is right 3 times of 4; a wrong
+  // hint's winner is position 3, or position 2 when the hint is 3. A
+  // position then goes 12 plans without leading, and no plan may promote
+  // it over the hint or the wrong-hint winner.
+  PolicyConfig cfg;
+  cfg.mode = PolicyMode::kAdaptive;
+  SpecPolicy policy(cfg);
+  constexpr std::size_t kAlts = 4;
+  auto wrong_hint_winner = [](std::size_t hint) -> std::size_t {
+    return hint == kAlts - 1 ? kAlts - 2 : kAlts - 1;
+  };
+  constexpr int kWarmupCycles = 4;
+  constexpr int kCheckedCycles = 4;  // 64 checked plans
+  for (int cycle = 0; cycle < kWarmupCycles + kCheckedCycles; ++cycle) {
+    for (std::size_t r = 0; r < 16; ++r) {
+      const std::size_t hint = r / 4;
+      const std::size_t winner = r % 4 == 3 ? wrong_hint_winner(hint) : hint;
+      std::vector<double> base(kAlts, 0.0);
+      base[hint] = 1.0;
+      const PolicyPlan plan = policy.plan_race(0, base);
+      if (cycle >= kWarmupCycles) {
+        ASSERT_EQ(plan.order.size(), kAlts);
+        EXPECT_EQ(plan.order[0], hint) << "cycle " << cycle << " race " << r;
+        EXPECT_EQ(plan.order[1], wrong_hint_winner(hint))
+            << "cycle " << cycle << " race " << r;
+      }
+      policy.observe_race(fake_race(kAlts, winner));
+    }
   }
 }
 
@@ -436,10 +302,7 @@ TEST(SpecPolicy, DefaultModeResolvesPerEngine) {
 TEST(SpecPolicyDeath, DecisionsRejectTheUnresolvedMode) {
   const PolicyConfig cfg;  // kAuto
   const PolicySnapshot s;
-  EXPECT_DEATH((void)SpecPolicy::decide_plan(cfg, s, 1, 1, {0.0, 1.0}),
-               "MW_CHECK");
-  EXPECT_DEATH((void)SpecPolicy::decide_width(cfg, s, 8), "MW_CHECK");
-  EXPECT_DEATH((void)SpecPolicy::decide_hedge_delay(cfg, s, 5), "MW_CHECK");
+  EXPECT_DEATH((void)SpecPolicy::decide_plan(cfg, s, {0.0, 1.0}), "MW_CHECK");
   EXPECT_DEATH((void)SpecPolicy::decide_split(cfg, s, 1, 4), "MW_CHECK");
 }
 

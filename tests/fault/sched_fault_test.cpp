@@ -154,12 +154,12 @@ TEST(SchedFault, AdmitDelayForcesADeferThenAdmits) {
 }
 
 // ---- Adaptive-policy rows: the same fault points with the closed-loop
-// policy engine steering admission width and submission order. The faults
-// must stay contained and the seed must still replay. ------------------
+// policy engine steering submission order. The faults must stay contained
+// and the seed must still replay. --------------------------------------
 
 TEST(SchedFault, AdmitKillStillRejectsWithAdaptivePolicy) {
-  // The admission fault fires before the policy's width decision matters:
-  // adaptive mode must not resurrect a rejected race or leak a world.
+  // The admission fault fires before the policy plans the race: adaptive
+  // mode must not resurrect a rejected race or leak a world.
   FaultInjector inj(3);
   inj.arm("sched.admit", FaultSpec::always(FaultKind::kFailAlternative));
   FaultScope scope(inj);

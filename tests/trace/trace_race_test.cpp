@@ -283,7 +283,7 @@ TEST(TraceKinds, EveryRowHasAUniqueValueAndName) {
   // Values are the on-disk schema; pin both ends of the table.
   EXPECT_EQ(static_cast<int>(trace::EventKind::kAltBlockBegin), 1);
   EXPECT_STREQ(trace::kind_name(trace::EventKind::kSvcShed), "svc_shed");
-  EXPECT_EQ(static_cast<int>(trace::EventKind::kPolicyHedge), 145);
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kPolicyDefer), 143);
 }
 
 TEST(TraceKinds, OneEventPerKindCountsOnlyThatKind) {
