@@ -18,12 +18,21 @@
 // Shapes: `uniform` (winner position uniformly random — no signal; the
 // modes should tie), `skewed` (one position wins 85% of the time — the
 // adaptive policy's design case), `bursty` (the winner migrates every
-// `burst` races — the win-rate decay keeps history cheap to outvote).
+// `burst` races — the win-rate decay keeps history cheap to outvote), and
+// `hinted` (perfbench race_prune's draw: one position per race carries
+// priority 1, uniformly drawn, and wins 75% of the time; otherwise the
+// winner is the last position, or the one before it when the hint is
+// last). `hinted` runs on the deterministic race surface only. There the
+// static order is already the best one (the hint, then the last position:
+// ties run newest first), so the learned order can only match it by
+// ranking the wrong-hint winner right after the hint; it is gated within
+// the `tie_wasted` band of static.
 //
 // With --check the binary exits non-zero unless the adaptive policy
 // dominates-or-ties static per shape on every gated column: losers run
 // before the winner on the deterministic race surface (adaptive at most
-// static), wasted-work ratio and p99 on the Prolog surface, and wasted
+// static; within `tie_wasted` of it on `uniform` and `hinted`), wasted-work
+// ratio and p99 on the Prolog surface, and wasted
 // work and p99 on the wall-clock race surface. Ties on the banded columns
 // use the `tie_wasted`/`tie_p99` factors plus a small absolute slack,
 // because "no signal to exploit" must not fail on noise. --check=det gates
@@ -40,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,43 +69,57 @@ using namespace mw;
 
 namespace {
 
-enum class Shape { kUniform, kSkewed, kBursty };
+enum class Shape { kUniform, kSkewed, kBursty, kHinted };
 
 const char* shape_name(Shape s) {
   switch (s) {
     case Shape::kUniform: return "uniform";
     case Shape::kSkewed: return "skewed";
     case Shape::kBursty: return "bursty";
+    case Shape::kHinted: return "hinted";
   }
   return "?";
 }
 
-/// The scripted winner position for race/query `r`. Both modes of a cell
-/// draw from identically seeded streams, so they see the same sequence.
-std::size_t winner_at(Shape shape, std::size_t r, std::size_t k,
-                      std::size_t burst, Rng& rng) {
+/// One race's script: the winning position and the hinted one, if any.
+struct Draw {
+  std::size_t winner = 0;
+  std::optional<std::size_t> hint;
+};
+
+/// The scripted draw for race/query `r`. Both modes of a cell draw from
+/// identically seeded streams, so they see the same sequence.
+Draw draw_at(Shape shape, std::size_t r, std::size_t k, std::size_t burst,
+             Rng& rng) {
   switch (shape) {
     case Shape::kUniform:
-      return static_cast<std::size_t>(rng.next_below(k));
+      return {static_cast<std::size_t>(rng.next_below(k)), std::nullopt};
     case Shape::kSkewed:
       // One hot position — deliberately NOT position 0, which submission
       // order would favour anyway.
-      if (rng.next_double() < 0.85) return (k >= 3) ? 2 : k - 1;
-      return static_cast<std::size_t>(rng.next_below(k));
+      if (rng.next_double() < 0.85) return {(k >= 3) ? 2 : k - 1, std::nullopt};
+      return {static_cast<std::size_t>(rng.next_below(k)), std::nullopt};
     case Shape::kBursty:
       rng.next_below(k);  // keep the streams aligned across shapes
-      return (r / burst) % k;
+      return {(r / burst) % k, std::nullopt};
+    case Shape::kHinted: {
+      const std::size_t hint = static_cast<std::size_t>(rng.next_below(k));
+      if (rng.next_bool(0.75)) return {hint, hint};
+      return {hint == k - 1 ? k - 2 : k - 1, hint};
+    }
   }
-  return 0;
+  return {};
 }
 
 // One k-way race with the winner at `winner`: that position computes
 // briefly and syncs; the others grind compute/checkpoint slices until the
 // winner's cancellation lands (with a self-abort bound so a lost
-// cancellation cannot wedge the bench). All base priorities are equal —
-// the policy engine is the only thing that can reorder.
-std::vector<Alternative> make_race(std::size_t alts, std::size_t winner,
+// cancellation cannot wedge the bench). Base priorities are equal apart
+// from the draw's hint (priority 1) — the policy engine is the only other
+// thing that can reorder.
+std::vector<Alternative> make_race(std::size_t alts, const Draw& d,
                                    VDuration work_us, int spins) {
+  const std::size_t winner = d.winner;
   std::vector<Alternative> race;
   race.reserve(alts);
   for (std::size_t i = 0; i < alts; ++i) {
@@ -110,7 +134,7 @@ std::vector<Alternative> make_race(std::size_t alts, std::size_t winner,
             std::memcpy(buf, &v, sizeof(v));
             ctx.set_result(std::span<const std::uint8_t>(buf, sizeof(v)));
           },
-          nullptr, /*priority=*/0.0});
+          nullptr, /*priority=*/d.hint == i ? 1.0 : 0.0});
     } else {
       race.push_back(Alternative{
           "lose" + std::to_string(i), nullptr,
@@ -121,7 +145,7 @@ std::vector<Alternative> make_race(std::size_t alts, std::size_t winner,
             }
             ctx.fail("never won");
           },
-          nullptr, /*priority=*/0.0});
+          nullptr, /*priority=*/d.hint == i ? 1.0 : 0.0});
     }
   }
   return race;
@@ -175,8 +199,9 @@ Cell run_race_cell(PolicyMode mode, Shape shape, std::size_t races,
     std::vector<double> lat;
     lat.reserve(races);
     for (std::size_t r = 0; r < races; ++r) {
-      const std::size_t w = winner_at(shape, r, alts, burst, script);
-      const std::vector<Alternative> race = make_race(alts, w, work_us, spins);
+      const std::vector<Alternative> race =
+          make_race(alts, draw_at(shape, r, alts, burst, script), work_us,
+                    spins);
       Stopwatch sw;
       (void)run_alternatives(rt, parent, race);
       lat.push_back(sw.elapsed_ms() * 1000.0);
@@ -220,9 +245,10 @@ Cell run_det_race_cell(PolicyMode mode, Shape shape, std::size_t races,
   Rng script(seed ^ 0x5ab5ab);  // the wall-clock cells' winner sequence
   Cell c;
   for (std::size_t r = 0; r < races; ++r) {
-    const std::size_t w = winner_at(shape, r, alts, burst, script);
-    const AltOutcome out =
-        run_alternatives(rt, parent, make_race(alts, w, work_us, spins));
+    const AltOutcome out = run_alternatives(
+        rt, parent,
+        make_race(alts, draw_at(shape, r, alts, burst, script), work_us,
+                  spins));
     for (const AltReport& a : out.alts)
       if (a.ran && !a.success) ++c.losers_run;
   }
@@ -274,7 +300,7 @@ Cell run_prolog_cell(PolicyMode mode, Shape shape, std::size_t queries,
   std::uint64_t total_inf = 0;
   std::uint64_t seq_inf = 0;
   for (std::size_t q = 0; q < queries; ++q) {
-    const std::size_t t = winner_at(shape, q, tables, burst, script);
+    const std::size_t t = draw_at(shape, q, tables, burst, script).winner;
     const std::size_t key =
         t * facts_per + static_cast<std::size_t>(script.next_below(facts_per));
     const std::string query = "route(" + std::to_string(key) + ", Y)";
@@ -313,6 +339,8 @@ struct ShapeResult {
   Cell race_static, race_adaptive;
   Cell det_static, det_adaptive;
   Cell pl_static, pl_adaptive;
+  /// `hinted` runs only the deterministic race surface.
+  bool det_only() const { return shape == Shape::kHinted; }
 };
 
 struct CheckLine {
@@ -368,38 +396,44 @@ int main(int argc, char** argv) {
   auto count = [](std::uint64_t v) {
     return TablePrinter::num(static_cast<std::int64_t>(v));
   };
-  for (Shape shape : {Shape::kUniform, Shape::kSkewed, Shape::kBursty}) {
+  for (Shape shape :
+       {Shape::kUniform, Shape::kSkewed, Shape::kBursty, Shape::kHinted}) {
     ShapeResult r;
     r.shape = shape;
-    r.race_static = run_race_cell(PolicyMode::kStatic, shape, races, alts,
-                                  work_us, spins, burst, seed, reps);
-    r.race_adaptive = run_race_cell(PolicyMode::kAdaptive, shape, races, alts,
-                                    work_us, spins, burst, seed, reps);
     r.det_static =
         run_det_race_cell(PolicyMode::kStatic, shape, races * kDetRaceFactor,
                           alts, work_us, spins, burst, seed);
     r.det_adaptive =
         run_det_race_cell(PolicyMode::kAdaptive, shape, races * kDetRaceFactor,
                           alts, work_us, spins, burst, seed);
-    r.pl_static = run_prolog_cell(PolicyMode::kStatic, shape, queries, tables,
-                                  facts_per, pl_burst, seed);
-    r.pl_adaptive = run_prolog_cell(PolicyMode::kAdaptive, shape, queries,
+    if (!r.det_only()) {
+      r.race_static = run_race_cell(PolicyMode::kStatic, shape, races, alts,
+                                    work_us, spins, burst, seed, reps);
+      r.race_adaptive = run_race_cell(PolicyMode::kAdaptive, shape, races,
+                                      alts, work_us, spins, burst, seed, reps);
+      r.pl_static = run_prolog_cell(PolicyMode::kStatic, shape, queries,
                                     tables, facts_per, pl_burst, seed);
-    results.push_back(r);
-    table.add_row({shape_name(shape), "race",
-                   TablePrinter::num(r.race_static.wasted, 3),
-                   TablePrinter::num(r.race_adaptive.wasted, 3),
-                   TablePrinter::num(r.race_static.p99, 0),
-                   TablePrinter::num(r.race_adaptive.p99, 0), "-", "-", "-"});
+      r.pl_adaptive = run_prolog_cell(PolicyMode::kAdaptive, shape, queries,
+                                      tables, facts_per, pl_burst, seed);
+      table.add_row({shape_name(shape), "race",
+                     TablePrinter::num(r.race_static.wasted, 3),
+                     TablePrinter::num(r.race_adaptive.wasted, 3),
+                     TablePrinter::num(r.race_static.p99, 0),
+                     TablePrinter::num(r.race_adaptive.p99, 0), "-", "-",
+                     "-"});
+    }
     table.add_row({shape_name(shape), "race_det", "-", "-", "-", "-",
                    count(r.det_static.losers_run),
                    count(r.det_adaptive.losers_run), "-"});
-    table.add_row({shape_name(shape), "prolog",
-                   TablePrinter::num(r.pl_static.wasted, 3),
-                   TablePrinter::num(r.pl_adaptive.wasted, 3),
-                   TablePrinter::num(r.pl_static.p99, 0),
-                   TablePrinter::num(r.pl_adaptive.p99, 0), "-", "-",
-                   count(r.pl_adaptive.vetoes)});
+    if (!r.det_only()) {
+      table.add_row({shape_name(shape), "prolog",
+                     TablePrinter::num(r.pl_static.wasted, 3),
+                     TablePrinter::num(r.pl_adaptive.wasted, 3),
+                     TablePrinter::num(r.pl_static.p99, 0),
+                     TablePrinter::num(r.pl_adaptive.p99, 0), "-", "-",
+                     count(r.pl_adaptive.vetoes)});
+    }
+    results.push_back(r);
   }
   table.print(std::cout);
   std::cout << "(race p99 in wall us; race_det losers = loser bodies run "
@@ -422,11 +456,17 @@ int main(int argc, char** argv) {
       const std::string n = shape_name(r.shape);
       // Where there is a signal, the learned order must run no more losers
       // than static. `uniform` has none: both orders run 1.5 losers a race
-      // in expectation, so it gets the wasted-work tie band instead.
+      // in expectation, so it gets the wasted-work tie band instead. So
+      // does `hinted`, whose static order is already the best: a learned
+      // order that ranks the wrong-hint winner second on most races, but
+      // not all, lands a few percent above it.
+      const bool tie_band =
+          r.shape == Shape::kUniform || r.shape == Shape::kHinted;
       lines.push_back(check_metric(
           n + "/race_det losers", static_cast<double>(r.det_adaptive.losers_run),
           static_cast<double>(r.det_static.losers_run),
-          r.shape == Shape::kUniform ? tie_wasted : 1.0, 0.0));
+          tie_band ? tie_wasted : 1.0, 0.0));
+      if (r.det_only()) continue;
       lines.push_back(check_metric(n + "/prolog wasted",
                                    r.pl_adaptive.wasted, r.pl_static.wasted,
                                    tie_wasted, wasted_slack));
@@ -466,13 +506,14 @@ int main(int argc, char** argv) {
                         ", \"vetoes\": " + std::to_string(c.vetoes) + "}";
         return s;
       };
-      out << "    {\"shape\": \"" << shape_name(r.shape) << "\",\n"
-          << "     \"race_static\": " << cell(r.race_static) << ",\n"
-          << "     \"race_adaptive\": " << cell(r.race_adaptive) << ",\n"
-          << "     \"race_det_static\": " << cell(r.det_static) << ",\n"
-          << "     \"race_det_adaptive\": " << cell(r.det_adaptive) << ",\n"
-          << "     \"prolog_static\": " << cell(r.pl_static) << ",\n"
-          << "     \"prolog_adaptive\": " << cell(r.pl_adaptive) << "}"
+      out << "    {\"shape\": \"" << shape_name(r.shape) << "\",\n";
+      if (!r.det_only())
+        out << "     \"race_static\": " << cell(r.race_static) << ",\n"
+            << "     \"race_adaptive\": " << cell(r.race_adaptive) << ",\n"
+            << "     \"prolog_static\": " << cell(r.pl_static) << ",\n"
+            << "     \"prolog_adaptive\": " << cell(r.pl_adaptive) << ",\n";
+      out << "     \"race_det_static\": " << cell(r.det_static) << ",\n"
+          << "     \"race_det_adaptive\": " << cell(r.det_adaptive) << "}"
           << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"check\": {\"enabled\": " << (check ? "true" : "false")

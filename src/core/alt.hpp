@@ -103,10 +103,36 @@ struct AltReport {
   /// Pool backend: pruned from the queue before its body ever ran (its
   /// world copied zero pages). Implies !ran.
   bool revoked = false;
+  /// The program's priority hint favoured it (led_position): the policy
+  /// learns a led alternative's win rate apart from its siblings'.
+  bool led = false;
   VTime start = 0;
   VTime finish = 0;
   std::uint64_t pages_copied = 0;  // COW breaks in its world
 };
+
+/// The position the program's priority hint favours: the one whose priority
+/// is strictly above every sibling's. A race with a tied top priority, or
+/// with fewer than two alternatives, has none. `priority` projects an
+/// element to its priority (a member pointer or a callable).
+template <typename Seq, typename Proj = std::identity>
+std::optional<std::size_t> led_position(const Seq& seq, Proj priority = {}) {
+  if (seq.size() < 2) return std::nullopt;
+  std::size_t top = 0;
+  bool tied = false;
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    const double p = std::invoke(priority, seq[i]);
+    const double t = std::invoke(priority, seq[top]);
+    if (p > t) {
+      top = i;
+      tied = false;
+    } else if (p == t) {
+      tied = true;
+    }
+  }
+  if (tied) return std::nullopt;
+  return top;
+}
 
 enum class AltFailure {
   kNone,

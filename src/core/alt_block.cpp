@@ -28,6 +28,8 @@ BlockStart begin_block(Runtime& rt, const World& parent,
     out.alts[i].index = i + 1;
     out.alts[i].name = alts[i].name;
   }
+  if (const auto led = led_position(alts, &Alternative::priority))
+    out.alts[*led].led = true;
   BlockStart start;
   if (n == 0) {
     out.failed = true;

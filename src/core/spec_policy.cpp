@@ -1,6 +1,7 @@
 #include "core/spec_policy.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -54,8 +55,9 @@ void SpecPolicy::observe_race(const AltOutcome& out) {
     if (!a.success) work_wasted_ += w;
     if (pos >= kMaxTrackedAlts) continue;
     if (alts_.size() <= pos) alts_.resize(pos + 1);
-    ++alts_[pos].spawned;
-    if (a.success) ++alts_[pos].wins;
+    PolicyAltStat& st = alts_[pos];
+    (a.led ? st.led_spawned : st.spawned) += 1;
+    if (a.success) (a.led ? st.led_wins : st.wins) += 1;
   }
   if (cfg_.win_window > 0 && races_ % cfg_.win_window == 0) decay_locked();
 }
@@ -66,6 +68,8 @@ void SpecPolicy::decay_locked() {
   for (PolicyAltStat& a : alts_) {
     a.spawned /= 2;
     a.wins /= 2;
+    a.led_spawned /= 2;
+    a.led_wins /= 2;
   }
   work_total_ /= 2;
   work_wasted_ /= 2;
@@ -109,10 +113,14 @@ PolicyPlan SpecPolicy::plan_from(const PolicyConfig& cfg,
     return plan;
   }
 
-  // Blend: base priority + historical win rate per position. Positions the
-  // snapshot has never seen score the optimistic 1.0.
+  // Blend: base priority + historical win rate per position, the led
+  // position's from its led races and every other one's from its unled
+  // races. Positions the snapshot has never seen score the optimistic 1.0.
+  const std::optional<std::size_t> led = led_position(base);
   for (std::size_t i = 0; i < k; ++i) {
-    const double rate = i < alts.size() ? alts[i].win_rate() : 1.0;
+    double rate = 1.0;
+    if (i < alts.size())
+      rate = led == i ? alts[i].led_win_rate() : alts[i].win_rate();
     plan.priority[i] += rate;
   }
   // Hottest-first submission order; ties keep input order, so top matches

@@ -6,10 +6,14 @@
 //
 //   (a) race order — each position's historical win rate is added to its
 //       base priority and the race is submitted hottest first, so the
-//       likely winner starts right after the hinted alternative. The
-//       last-ranked position still runs; it sits at the cold end of the
-//       deque, where the winner's revocation usually prunes it unrun at
-//       zero pages copied;
+//       likely winner starts right after the hinted alternative. A
+//       position's rate is learned in two parts: over the races whose
+//       hint favoured it (it was led) and over all others. The led
+//       position is scored by its led rate and every sibling by its unled
+//       rate, so a hint that is usually right does not lift its position
+//       when another one leads. The last-ranked position still runs; it
+//       sits at the cold end of the deque, where the winner's revocation
+//       usually prunes it unrun at zero pages copied;
 //   (b) the or-parallel split veto — a choice point is searched
 //       sequentially instead of split into speculative worlds while the
 //       windowed wasted-work ratio stays above `waste_high`.
@@ -60,15 +64,21 @@ struct PolicyConfig {
 
 /// Per-position (index into the submitted alternative vector) outcome
 /// history. Positions are the learning key: repeated races submitted by the
-/// same program site keep their alternatives in a stable order.
+/// same program site keep their alternatives in a stable order. Each
+/// position keeps two counts: races in which the program's hint favoured
+/// it (led, see led_position) and all other races, so the hinted
+/// alternative's wins do not inflate its rate when a sibling leads. The
+/// counts are doubles: the win_window halving keeps small counts.
 struct PolicyAltStat {
-  std::uint64_t spawned = 0;
-  std::uint64_t wins = 0;
+  double spawned = 0;
+  double wins = 0;
+  double led_spawned = 0;
+  double led_wins = 0;
   /// Optimistic initialisation: an unsampled position scores 1.0 so it is
   /// tried before history accumulates.
-  double win_rate() const {
-    return spawned == 0 ? 1.0
-                        : static_cast<double>(wins) / static_cast<double>(spawned);
+  double win_rate() const { return spawned == 0 ? 1.0 : wins / spawned; }
+  double led_win_rate() const {
+    return led_spawned == 0 ? 1.0 : led_wins / led_spawned;
   }
 };
 
@@ -130,7 +140,8 @@ class SpecPolicy {
   /// (a) effective priorities for a race of base.size() positions. Static
   /// mode returns base unchanged in the identity order. Adaptive mode adds
   /// each position's win rate to its base priority and orders hottest
-  /// first. Reads only `s.alts`.
+  /// first: the led position (led_position(base)) adds its led rate, every
+  /// other position its unled rate. Reads only `s.alts`.
   static PolicyPlan decide_plan(const PolicyConfig& cfg,
                                 const PolicySnapshot& s,
                                 const std::vector<double>& base);

@@ -1,6 +1,6 @@
 #include "dist/checkpoint.hpp"
 
-#include <cstring>
+#include <cstdint>
 #include <vector>
 
 namespace mw {
@@ -71,6 +71,17 @@ CheckpointImage seal(ByteWriter&& w, const CheckpointImage& meta) {
   return img;
 }
 
+/// Smallest encodings: a segment is a u32 name length plus base and size; a
+/// page record is its index plus page_size bytes.
+constexpr std::uint64_t kMinSegmentRecord = 4 + 8 + 8;
+constexpr std::uint64_t kPageIndexBytes = 8;
+
+/// Whether `count` records of at least `record` (> 0) bytes each can still
+/// be in what `r` has left. A decoded count sizes nothing before this holds.
+bool fits(const ByteReader& r, std::uint64_t count, std::uint64_t record) {
+  return count <= r.remaining() / record;
+}
+
 /// Everything parsed out of one image's header (pages not yet consumed).
 struct ParsedHeader {
   std::uint64_t kind = 0;
@@ -95,6 +106,7 @@ bool read_header(ByteReader& r, const CheckpointImage& image,
   h.num_pages = r.get_u64();
   h.base_checksum = r.get_u64();
   if (!r.ok() || h.page_size == 0 || h.num_pages == 0) return false;
+  if (h.num_pages > UINT64_MAX / h.page_size) return false;  // overflows
 
   h.regs.pc = r.get_u64();
   h.regs.sp = r.get_u64();
@@ -103,7 +115,8 @@ bool read_header(ByteReader& r, const CheckpointImage& image,
 
   const std::uint64_t space_bytes = h.page_size * h.num_pages;
   const std::uint64_t nsegs = r.get_u64();
-  if (!r.ok() || nsegs > h.num_pages) return false;
+  if (!r.ok() || nsegs > h.num_pages || !fits(r, nsegs, kMinSegmentRecord))
+    return false;
   h.segments.reserve(nsegs);
   for (std::uint64_t k = 0; k < nsegs; ++k) {
     Segment s;
@@ -118,25 +131,34 @@ bool read_header(ByteReader& r, const CheckpointImage& image,
   return r.ok() && h.watermark <= space_bytes;
 }
 
+/// Reads the page-record count that follows a header: at most one record
+/// per page, and no more records than the bytes left can hold.
+bool read_page_count(ByteReader& r, const ParsedHeader& h,
+                     std::uint64_t& count) {
+  count = r.get_u64();
+  if (!r.ok() || count > h.num_pages) return false;
+  // page_size + kPageIndexBytes cannot overflow once page_size fits.
+  return count == 0 || (h.page_size <= r.remaining() &&
+                        fits(r, count, kPageIndexBytes + h.page_size));
+}
+
 /// Applies the page records onto `space`, enforcing strictly ascending
 /// in-bounds indices — duplicate or out-of-order records are forgeries
 /// (take_checkpoint never emits them), not a last-write-wins ambiguity.
 bool apply_pages(ByteReader& r, AddressSpace& space,
                  const ParsedHeader& h) {
-  const std::uint64_t count = r.get_u64();
-  if (!r.ok() || count > h.num_pages) return false;
-  std::vector<std::uint8_t> buf(h.page_size);
+  std::uint64_t count = 0;
+  if (!read_page_count(r, h, count)) return false;
   bool first = true;
   std::uint64_t prev = 0;
   for (std::uint64_t k = 0; k < count; ++k) {
     const std::uint64_t idx = r.get_u64();
-    Bytes data = r.get_blob(h.page_size);
+    const Bytes data = r.get_blob(h.page_size);
     if (!r.ok() || idx >= h.num_pages) return false;
     if (!first && idx <= prev) return false;  // duplicate or out of order
     first = false;
     prev = idx;
-    std::memcpy(buf.data(), data.data(), h.page_size);
-    space.write(idx * h.page_size, buf);
+    space.write(idx * h.page_size, data);
   }
   return r.ok() && r.at_end();
 }
@@ -255,8 +277,8 @@ bool parse_checkpoint_blob(Bytes blob, CheckpointImage& out) {
   if (!read_header(r, img, h)) return false;
   // Page records are not replayed here (restore does that); only the
   // record *count* is needed to rebuild resident_pages.
-  const std::uint64_t count = r.get_u64();
-  if (!r.ok() || count > h.num_pages) return false;
+  std::uint64_t count = 0;
+  if (!read_page_count(r, h, count)) return false;
   img.resident_pages = count;
   img.page_size = h.page_size;
   img.total_pages = h.num_pages;

@@ -123,12 +123,12 @@ const Page* PageMap::page_at(const Node* n, std::size_t i) {
 
 PageMap::PageMap(std::size_t num_pages) : num_pages_(num_pages), depth_(1) {
   // Smallest depth whose capacity covers the address space; an empty map is
-  // just a null root, so construction is O(1) no matter the size.
-  std::size_t capacity = kFanout;
-  while (capacity < num_pages_) {
-    capacity <<= kFanoutBits;
+  // just a null root, so construction is O(1) no matter the size. Shifting
+  // the last index down, rather than growing a capacity up, cannot overflow
+  // for a count near 2^64 (a forged checkpoint geometry).
+  for (std::size_t rest = num_pages_ > 0 ? (num_pages_ - 1) >> kFanoutBits : 0;
+       rest != 0; rest >>= kFanoutBits)
     ++depth_;
-  }
 }
 
 PageMap::PageMap(const PageMap& o)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+
 namespace mw {
 namespace {
 
@@ -88,6 +92,76 @@ TEST(Checkpoint, RestoredSpaceIsIndependent) {
   ASSERT_TRUE(r.ok);
   r.space.store<int>(0, 99);
   EXPECT_EQ(as.load<int>(0), 42);
+}
+
+// --- Forged geometry and counts: the decoder sizes nothing from a field it
+// has not checked against the bytes that follow. Each image is resealed, so
+// only the field under test is wrong; each used to throw std::bad_alloc. ---
+
+// Field offsets in an image with no segments: magic, checksum and kind come
+// before page_size; 6 header u64s and 10 register u64s before the segment
+// count.
+constexpr std::size_t kPageSizeOff = 3 * 8;
+constexpr std::size_t kNumPagesOff = 4 * 8;
+constexpr std::size_t kNsegsOff = (6 + 10) * 8;
+
+void write_u64_at(Bytes& b, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    b[off + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// make_space()'s image with each (offset, value) field written, resealed.
+CheckpointImage forged(std::initializer_list<std::pair<std::size_t, std::uint64_t>> fields) {
+  CheckpointImage img = take_checkpoint(make_space(), Registers{});
+  for (const auto& [off, v] : fields) write_u64_at(img.blob, off, v);
+  reseal_checkpoint(img);
+  return img;
+}
+
+void expect_rejected(const CheckpointImage& img) {
+  EXPECT_FALSE(restore_checkpoint(img).ok);
+  CheckpointImage parsed;
+  EXPECT_FALSE(parse_checkpoint_blob(img.blob, parsed));
+}
+
+TEST(Checkpoint, ForgedSegmentCountRejected) {
+  // 2^39 segments would reserve terabytes; num_pages is raised too, since a
+  // count above it is rejected on its own.
+  expect_rejected(forged({{kNumPagesOff, 1ull << 40}, {kNsegsOff, 1ull << 39}}));
+}
+
+TEST(Checkpoint, ForgedPageSizeRejected) {
+  // Three resident 2^40-byte pages cannot be in a blob of a few hundred
+  // bytes, so the page records are refused before any buffer is sized.
+  expect_rejected(forged({{kPageSizeOff, 1ull << 40}}));
+}
+
+TEST(Checkpoint, OverflowingGeometryRejected) {
+  // 2^40 * 2^30 wraps to 64 bytes; the wrapped size would pass the segment
+  // and watermark checks.
+  expect_rejected(forged({{kPageSizeOff, 1ull << 40}, {kNumPagesOff, 1ull << 30}}));
+}
+
+TEST(Checkpoint, HugeSparseGeometryRestoresWithoutHanging) {
+  // 2^62 one-byte pages is a consistent geometry for an image with no
+  // resident pages; restoring it used to spin forever sizing the page map.
+  CheckpointImage img = take_checkpoint(AddressSpace(64, 8), Registers{});
+  write_u64_at(img.blob, kPageSizeOff, 1);
+  write_u64_at(img.blob, kNumPagesOff, 1ull << 62);
+  reseal_checkpoint(img);
+  const RestoreResult r = restore_checkpoint(img);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.space.table().num_pages(), 1ull << 62);
+  EXPECT_EQ(r.space.load<std::uint8_t>((1ull << 62) - 1), 0u);
+}
+
+TEST(Checkpoint, ParsedBlobKeepsItsCounts) {
+  const CheckpointImage img = take_checkpoint(make_space(), Registers{});
+  CheckpointImage parsed;
+  ASSERT_TRUE(parse_checkpoint_blob(img.blob, parsed));
+  EXPECT_EQ(parsed.resident_pages, 3u);
+  EXPECT_EQ(parsed.page_size, 64u);
+  EXPECT_EQ(parsed.total_pages, 16u);
 }
 
 }  // namespace

@@ -470,6 +470,9 @@ TEST(PeerHealth, LadderDescendsWithSilence) {
 // --- trace / SpecProfile plumbing (satellite 1) ---------------------------
 
 TEST(TransportTrace, RetryCountersSurfaceInSpecProfile) {
+#if defined(MW_TRACE_DISABLED)
+  GTEST_SKIP() << "tracing compiled out (MW_TRACE=OFF)";
+#endif
   trace::reset();
   trace::Scope scope;
   EventQueue q;
@@ -492,6 +495,9 @@ TEST(TransportTrace, RetryCountersSurfaceInSpecProfile) {
 }
 
 TEST(TransportTrace, PeerDeathEventsSurfaceInSpecProfile) {
+#if defined(MW_TRACE_DISABLED)
+  GTEST_SKIP() << "tracing compiled out (MW_TRACE=OFF)";
+#endif
   trace::reset();
   trace::Scope scope;
   EventQueue q;

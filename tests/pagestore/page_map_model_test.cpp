@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "pagestore/page_table.hpp"
@@ -302,6 +304,17 @@ TEST(PageMapModel, SparseDeepTreeBoundaries) {
     std::memcpy(want.data(), ref.read_all().data() + p * page_size, 1);
     EXPECT_EQ(got, want) << "page " << p;
   }
+}
+
+// The tree is the shallowest one whose capacity (64^depth) covers the
+// page count, up to counts near 2^64, where the capacity itself overflows.
+TEST(PageMapModel, DepthCoversThePageCount) {
+  const std::pair<std::size_t, int> cases[] = {
+      {1, 1},           {64, 1},         {65, 2},
+      {4096, 2},        {4097, 3},       {std::size_t{1} << 60, 10},
+      {(std::size_t{1} << 60) + 1, 11},  {SIZE_MAX, 11}};
+  for (const auto& [pages, depth] : cases)
+    EXPECT_EQ(PageMap(pages).depth(), depth) << pages << " pages";
 }
 
 }  // namespace
